@@ -3,8 +3,8 @@ From events to integral indicators, step by step
 ================================================
 
 The full chain: event matrix -> competency mapping -> masked series ->
-window block -> correlation matrix -> per-channel integral indicators
--> per-period series and grand total.
+window correlation matrix -> per-channel integral indicators ->
+per-period series and grand total.
 """
 
 import numpy as np
@@ -14,11 +14,10 @@ from regimetrics import (
     EnterpriseModel,
     STANDARDIZED,
     apply_mapping,
-    build_window_matrix,
     check_budget,
-    correlation_matrix,
     indicator_series,
     integral_indicator,
+    window_correlation,
 )
 
 rng = np.random.RandomState(7)
@@ -49,13 +48,12 @@ series = apply_mapping(model, mapping)
 masked = [series.channel_labels[j] for j in series.masked_channels]
 print(f"masked channels: {masked}\n")
 
-# One window: the k=4 periods preceding t=8, most recent first.
-window = build_window_matrix(series, t=8, k=4, mode=STANDARDIZED)
-print("standardized window block at t=8 (rows: t-1, t-2, t-3, t-4):")
-print(np.round(window.block, 3))
-print(f"degenerate channels: {window.degenerate.tolist()}\n")
-
-corr = correlation_matrix(window)
+# One window: the k=4 periods preceding t=8, each channel z-scored
+# inside the window before the scaled Gram product.
+print("window at t=8 (periods 4..7):")
+print(series.values[3:7], "\n")
+corr = window_correlation(series, t=8, k=4, mode=STANDARDIZED)
+print(f"degenerate channels: {corr.degenerate.tolist()}")
 print("correlation matrix (masked channel row/column collapse to zero):")
 print(np.round(corr.r, 3), "\n")
 

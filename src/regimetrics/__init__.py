@@ -21,14 +21,11 @@ from .engine import (
     CorrelationMatrix,
     IndicatorSeries,
     RegimeComparison,
-    WindowMatrix,
-    build_window_matrix,
     compare_regimes,
-    correlation_matrix,
     indicator_series,
     integral_indicator,
     naive_oracle,
-    pairwise_coefficient,
+    window_correlation,
 )
 from .errors import (
     BudgetError,
@@ -56,11 +53,8 @@ from .model import (
     CompetencyMapping,
     EnterpriseModel,
     MappedSeries,
-    WindowBlock,
     apply_mapping,
     check_budget,
-    standardize_window,
-    window_rows,
 )
 from .prng import Pcg32
 from .reference import (
@@ -103,13 +97,9 @@ __all__ = [
     "ScenarioConfig",
     "ValidationError",
     "VerificationReport",
-    "WindowBlock",
-    "WindowMatrix",
     "apply_mapping",
-    "build_window_matrix",
     "check_budget",
     "compare_regimes",
-    "correlation_matrix",
     "default_catalog",
     "emit_report",
     "generate_series",
@@ -119,15 +109,13 @@ __all__ = [
     "load_reference",
     "naive_oracle",
     "paired_scenarios",
-    "pairwise_coefficient",
     "parse_events",
     "parse_mapping",
     "parse_scenario",
     "read_reference",
     "save_catalog",
-    "standardize_window",
     "verify_reference",
-    "window_rows",
+    "window_correlation",
     "write_events",
     "write_mapping",
     "write_reference",

@@ -15,9 +15,10 @@ scaled Gram matrix of the raw data. In standardized mode each channel is
 z-scored inside its window first, which makes the entries Pearson
 coefficients bounded by 1.
 
-``naive_oracle`` recomputes everything with explicit triple loops and no
-matrix product; it exists so tests can check the vectorized pipeline
-against an independent implementation.
+One chunked kernel computes every period; ``window_correlation`` runs it
+on a single period for inspection. ``naive_oracle`` recomputes everything
+with explicit triple loops and no matrix product, so tests can check the
+kernel against an independent implementation.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientHistoryError, InvalidWindowError, ValidationError
 from .model import (
     RAW,
     STANDARDIZED,
     MappedSeries,
+    _check_window_bounds,
     _frozen_array,
-    standardize_window,
     validate_mode,
-    window_rows,
 )
 
 # No window length is inherent to the method; 12 is a conventional
@@ -45,59 +46,100 @@ DEFAULT_WINDOW = 12
 SYMMETRY_TOL = 1e-12
 STANDARDIZED_BOUND_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class WindowMatrix:
-    """The k x n block preceding period t: row l is the vector at t - l."""
-
-    t: int
-    k: int
-    block: np.ndarray
-    mode: str = RAW
-    degenerate: np.ndarray = None
-
-    def __post_init__(self):
-        validate_mode(self.mode)
-        block = _frozen_array(self.block, ndim=2, name="block")
-        if block.shape[0] != self.k:
-            raise ValidationError(f"block must have k={self.k} rows, got {block.shape[0]}")
-        if self.k < 2:
-            raise InvalidWindowError(f"window length must be at least 2, got {self.k}")
-        if not np.all(np.isfinite(block)):
-            raise ValidationError("block must contain only finite values")
-        degenerate = self.degenerate
-        if degenerate is None:
-            degenerate = np.zeros(block.shape[1], dtype=bool)
-        degenerate = _frozen_array(degenerate, dtype=bool, ndim=1, name="degenerate")
-        if degenerate.shape[0] != block.shape[1]:
-            raise ValidationError("degenerate flags must match the channel count")
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "degenerate", degenerate)
-
-    @property
-    def n(self) -> int:
-        return self.block.shape[1]
+# The kernel walks windows in chunks of periods whose live temporaries
+# (the Gram stack plus two window stacks) stay under this many bytes.
+_CHUNK_BYTES = 4 << 20
 
 
-def build_window_matrix(series: MappedSeries, t: int, k: int, mode: str = RAW) -> WindowMatrix:
-    """Slice (and in standardized mode z-score) the window preceding t."""
-    validate_mode(mode)
-    if mode == STANDARDIZED:
-        wb = standardize_window(series, t, k)
-        return WindowMatrix(t=t, k=k, block=wb.values, mode=mode, degenerate=wb.degenerate)
-    return WindowMatrix(t=t, k=k, block=window_rows(series, t, k), mode=mode)
+def _standardize(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score every channel of a (periods, k, n) window stack in its window.
 
-
-def pairwise_coefficient(window: WindowMatrix, i: int, j: int) -> float:
-    """Correlation coefficient of channels i and j (0-based) in the window.
-
-    Defined as sum over window rows of block[l, i] * block[l, j],
-    divided by k - 1.
+    A channel is degenerate exactly when its window is constant; its
+    column becomes zero. Each column is first scaled by a power of two
+    taken from its largest magnitude, so squaring cannot overflow, and
+    the z-scores equal the unscaled ones bit for bit wherever those
+    neither overflow nor underflow.
     """
-    n = window.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValidationError(f"channel indices must be in 0..{n - 1}, got ({i}, {j})")
-    return float(window.block[:, i] @ window.block[:, j]) / (window.k - 1)
+    hi, lo = block.max(axis=1), block.min(axis=1)
+    degenerate = hi == lo
+    _, exponent = np.frexp(np.maximum(hi, -lo))
+    scaled = np.ldexp(block, -exponent[:, None, :])
+    # A constant column centers on its own value, so it becomes exactly 0.
+    scaled -= np.where(degenerate, scaled[:, 0], scaled.mean(axis=1))[:, None, :]
+    variance = np.square(scaled).sum(axis=1) / (k - 1)
+    scaled /= np.sqrt(np.where(degenerate, 1.0, variance))[:, None, :]
+    return scaled, degenerate
+
+
+def _check_chunk(magnitude, sums, degenerate, mode: str, first: int, labels) -> None:
+    """Check the invariants of one chunk of |R| stacks and their row sums.
+
+    ``first`` is the period of the chunk's first window; an error names
+    the first offending period and its channels.
+    """
+
+    def fail_if(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            row = int(np.flatnonzero(bad.any(axis=1))[0])
+            names = ", ".join(labels[j] for j in np.flatnonzero(bad[row]))
+            raise ValidationError(f"period {first + row}: {message} (channels {names})")
+
+    fail_if(~np.isfinite(sums), "R overflows the float range")
+    if mode != STANDARDIZED:
+        return
+    bound = 1.0 + STANDARDIZED_BOUND_TOL
+    if magnitude.max() > bound:
+        fail_if(
+            (magnitude > bound).any(axis=2),
+            "standardized coefficients must lie within [-1, 1]",
+        )
+    diag = np.diagonal(magnitude, axis1=1, axis2=2)
+    fail_if(
+        ~degenerate & (np.abs(diag - 1.0) > STANDARDIZED_BOUND_TOL),
+        "nondegenerate channels must have unit self-correlation",
+    )
+    fail_if(
+        degenerate & (diag > SYMMETRY_TOL),
+        "degenerate channels must have zero self-correlation",
+    )
+
+
+def _window_kernel(
+    series: MappedSeries, k: int, mode: str, first: int, last: int, signed: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator rows of periods first..last, or their signed R stack.
+
+    Each chunk of windows is z-scored in standardized mode, turned into a
+    stack of Gram matrices by one matmul, checked once, and reduced to
+    absolute row sums in place. Chunk boundaries depend only on n and k,
+    and no period's arithmetic depends on another period, so each row is
+    the same bits whatever the series length.
+    Returns the (periods, n) indicator rows, or the (periods, n, n) R
+    stack when ``signed``, and the (periods, n) degenerate flags.
+    """
+    n, count = series.n, last - first + 1
+    # Window w is the chronological (k, n) slice of rows w .. w + k - 1.
+    windows = sliding_window_view(
+        series.values[first - k - 1 : last - 1], k, axis=0
+    ).transpose(0, 2, 1)
+    step = max(1, _CHUNK_BYTES // (8 * n * (n + 2 * k)))
+    out = np.empty((count, n, n) if signed else (count, n))
+    degenerate = np.zeros((count, n), dtype=bool)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        block = windows[start:stop]
+        if mode == STANDARDIZED:
+            block, degenerate[start:stop] = _standardize(block, k)
+        # Raw overflow is not a warning: _check_chunk raises naming the period.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.matmul(block.transpose(0, 2, 1), block)
+            r /= k - 1
+            magnitude = np.abs(r, out=None if signed else r)
+            sums = magnitude.sum(axis=2)
+        flags = degenerate[start:stop]
+        _check_chunk(magnitude, sums, flags, mode, first + start, series.channel_labels)
+        out[start:stop] = r if signed else sums
+    return out, degenerate
 
 
 @dataclass(frozen=True)
@@ -142,17 +184,19 @@ class CorrelationMatrix:
         return self.r.shape[0]
 
 
-def correlation_matrix(window: WindowMatrix) -> CorrelationMatrix:
-    """All pairwise coefficients of a window as one matrix.
+def window_correlation(
+    series: MappedSeries, t: int, k: int, mode: str = RAW
+) -> CorrelationMatrix:
+    """R(t) of one period, from the kernel that indicator_series runs.
 
-    Computed as block' . block / (k - 1) with the upper triangle
-    mirrored onto the lower so the result is exactly symmetric.
+    The upper triangle is mirrored onto the lower, so R is exactly
+    symmetric.
     """
-    gram = (window.block.T @ window.block) / (window.k - 1)
-    r = np.triu(gram) + np.triu(gram, 1).T
-    return CorrelationMatrix(
-        t=window.t, k=window.k, r=r, mode=window.mode, degenerate=window.degenerate
-    )
+    validate_mode(mode)
+    _check_window_bounds(series.t_max, t, k)
+    stack, degenerate = _window_kernel(series, k, mode, t, t, signed=True)
+    r = np.triu(stack[0]) + np.triu(stack[0], 1).T
+    return CorrelationMatrix(t=t, k=k, r=r, mode=mode, degenerate=degenerate[0])
 
 
 def integral_indicator(corr: CorrelationMatrix) -> np.ndarray:
@@ -216,8 +260,9 @@ def indicator_series(
 ) -> IndicatorSeries:
     """Indicator vectors for every evaluable period t in k+1 .. t_max.
 
-    Periods are processed sequentially in ascending order and summed in
-    fixed channel order, so results are reproducible bit-for-bit.
+    All periods run through one chunked kernel whose chunks depend only
+    on n and k, so results are reproducible bit-for-bit and the rows of
+    a prefix of the series are the leading rows of the full run.
     """
     validate_mode(mode)
     if k < 2:
@@ -226,13 +271,9 @@ def indicator_series(
         raise InsufficientHistoryError(
             f"series has {series.t_max} periods, need more than the window length {k}"
         )
-    periods = np.arange(k + 1, series.t_max + 1)
-    values = np.empty((periods.size, series.n))
-    for idx, t in enumerate(periods):
-        window = build_window_matrix(series, int(t), k, mode)
-        values[idx] = integral_indicator(correlation_matrix(window))
+    values, _ = _window_kernel(series, k, mode, k + 1, series.t_max)
     return IndicatorSeries(
-        periods=periods,
+        periods=np.arange(k + 1, series.t_max + 1),
         values=values,
         k=k,
         mode=mode,
@@ -333,13 +374,13 @@ def naive_oracle(
     if mode == STANDARDIZED:
         for j in range(n):
             column = [rows[l][j] for l in range(k)]
-            mean = sum(column) / k
-            sum_sq = sum((value - mean) ** 2 for value in column)
-            if sum_sq == 0.0:
+            if max(column) == min(column):
                 degenerate[j] = True
                 for l in range(k):
                     rows[l][j] = 0.0
             else:
+                mean = sum(column) / k
+                sum_sq = sum((value - mean) ** 2 for value in column)
                 std = math.sqrt(sum_sq / (k - 1))
                 for l in range(k):
                     rows[l][j] = (rows[l][j] - mean) / std

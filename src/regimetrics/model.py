@@ -1,12 +1,11 @@
-"""Enterprise event series, competency mappings, and window extraction.
+"""Enterprise event series, competency mappings, and window bounds.
 
 An enterprise is modelled as a dense time grid of periods 1..t_max and an
 event matrix of financial expense/income values (thousand rubles), one
 column per event channel. A competency mapping is a binary matrix saying
 which channels evidence which catalog competencies; applying it masks the
-channels no competency covers. Window extraction slices the k periods
-preceding a given period, optionally z-scoring each channel inside the
-window.
+channels no competency covers. A window is the k periods preceding a
+given period; ``_check_window_bounds`` decides which periods have one.
 """
 
 from __future__ import annotations
@@ -172,7 +171,6 @@ class MappedSeries:
 
     values: np.ndarray
     channel_labels: tuple[str, ...]
-    mode: str = RAW
     masked_channels: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -187,7 +185,6 @@ class MappedSeries:
             raise ValidationError(f"expected {n} channel labels, got {len(labels)}")
         if len(set(labels)) != n:
             raise ValidationError("channel labels must be unique")
-        validate_mode(self.mode)
         masked = tuple(int(j) for j in self.masked_channels)
         if any(j < 0 or j >= n for j in masked):
             raise ValidationError("masked channel index out of range")
@@ -237,7 +234,7 @@ def apply_mapping(source, mapping: CompetencyMapping) -> MappedSeries:
     keep = mapping.active_channels()
     masked = tuple(int(j) for j in np.flatnonzero(~keep))
     out = np.where(keep, values, 0.0)
-    return MappedSeries(values=out, channel_labels=labels, mode=RAW, masked_channels=masked)
+    return MappedSeries(values=out, channel_labels=labels, masked_channels=masked)
 
 
 def _check_window_bounds(t_max: int, t: int, k: int) -> None:
@@ -253,48 +250,3 @@ def _check_window_bounds(t_max: int, t: int, k: int) -> None:
         raise ValidationError(
             f"period {t} lies beyond the series (last period {t_max})"
         )
-
-
-def window_rows(series: MappedSeries, t: int, k: int) -> np.ndarray:
-    """The k x n block of the periods preceding t.
-
-    Row l (1-based) holds the channel vector at period t - l, so the
-    first row is the most recent period t - 1 and the last is t - k.
-    """
-    _check_window_bounds(series.t_max, t, k)
-    block = series.values[t - k - 1 : t - 1]
-    return block[::-1].copy()
-
-
-@dataclass(frozen=True)
-class WindowBlock:
-    """A window of standardized values plus degenerate-channel flags."""
-
-    values: np.ndarray
-    degenerate: np.ndarray
-
-    def __post_init__(self):
-        values = _frozen_array(self.values, ndim=2, name="values")
-        degenerate = _frozen_array(self.degenerate, dtype=bool, ndim=1, name="degenerate")
-        if degenerate.shape[0] != values.shape[1]:
-            raise ValidationError("degenerate flags must match the channel count")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "degenerate", degenerate)
-
-
-def standardize_window(series: MappedSeries, t: int, k: int) -> WindowBlock:
-    """Per-channel z-scores inside the window preceding t.
-
-    Each channel column is replaced by (value - window mean) / window
-    standard deviation with divisor k - 1. A channel whose window
-    variance is exactly zero becomes an all-zero column and is flagged
-    degenerate.
-    """
-    block = window_rows(series, t, k)
-    mean = block.mean(axis=0)
-    centered = block - mean
-    variance = (centered * centered).sum(axis=0) / (k - 1)
-    degenerate = variance == 0.0
-    std = np.sqrt(np.where(degenerate, 1.0, variance))
-    out = np.where(degenerate, 0.0, centered / std)
-    return WindowBlock(values=out, degenerate=degenerate)

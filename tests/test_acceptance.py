@@ -15,15 +15,14 @@ from regimetrics import (
     RAW,
     STANDARDIZED,
     ScenarioConfig,
-    build_window_matrix,
     compare_regimes,
-    correlation_matrix,
     indicator_series,
     integral_indicator,
     load_reference,
     naive_oracle,
     paired_scenarios,
     verify_reference,
+    window_correlation,
 )
 from regimetrics.cli import main
 
@@ -104,8 +103,7 @@ def test_criterion_2_oracle_equivalence():
         series, k = random_instance(rng)
         mode = MODES[index % 2]
         for t in range(k + 1, series.t_max + 1):
-            window = build_window_matrix(series, t, k, mode)
-            corr = correlation_matrix(window)
+            corr = window_correlation(series, t, k, mode)
             indicators = integral_indicator(corr)
             oracle_corr, oracle_ind = naive_oracle(series, t, k, mode)
             r_scale = max(1.0, float(np.abs(oracle_corr.r).max(initial=0.0)))
@@ -131,7 +129,7 @@ def _random_matrices(seed, count):
         series, k = random_instance(rng)
         mode = MODES[len(matrices) % 2]
         t = int(rng.randint(k + 1, series.t_max + 1))
-        matrices.append(correlation_matrix(build_window_matrix(series, t, k, mode)))
+        matrices.append(window_correlation(series, t, k, mode))
     return matrices
 
 
@@ -157,7 +155,7 @@ def test_criterion_4_standardized_bounds():
     while checked < 100:
         series, k = random_instance(rng)
         t = int(rng.randint(k + 1, series.t_max + 1))
-        corr = correlation_matrix(build_window_matrix(series, t, k, STANDARDIZED))
+        corr = window_correlation(series, t, k, STANDARDIZED)
         checked += 1
         if float(np.abs(corr.r).max(initial=0.0)) > 1.0 + 1e-9:
             failures.append(f"|r| exceeds 1 + 1e-9 at t={t}")
@@ -190,8 +188,8 @@ def test_criterion_5_affine_invariance():
         transformed = MappedSeries(
             values=series.values * scale + shift, channel_labels=series.channel_labels
         )
-        r = correlation_matrix(build_window_matrix(series, t, k, STANDARDIZED)).r
-        r_affine = correlation_matrix(build_window_matrix(transformed, t, k, STANDARDIZED)).r
+        r = window_correlation(series, t, k, STANDARDIZED).r
+        r_affine = window_correlation(transformed, t, k, STANDARDIZED).r
         drift = float(np.abs(r_affine - r).max())
         if drift >= 1e-9:
             failures.append(f"trial {trial}: standardized drift {drift:.2e}")
@@ -201,8 +199,8 @@ def test_criterion_5_affine_invariance():
         scaled_values = series.values.copy()
         scaled_values[:, j] *= c
         scaled = MappedSeries(values=scaled_values, channel_labels=series.channel_labels)
-        r_raw = correlation_matrix(build_window_matrix(series, t, k, RAW)).r
-        r_scaled = correlation_matrix(build_window_matrix(scaled, t, k, RAW)).r
+        r_raw = window_correlation(series, t, k, RAW).r
+        r_scaled = window_correlation(scaled, t, k, RAW).r
         for i in range(n):
             factor = c * c if i == j else c
             expected = factor * r_raw[i, j]

@@ -8,14 +8,11 @@ from regimetrics import (
     RAW,
     STANDARDIZED,
     ValidationError,
-    WindowMatrix,
-    build_window_matrix,
     compare_regimes,
-    correlation_matrix,
     indicator_series,
     integral_indicator,
     naive_oracle,
-    pairwise_coefficient,
+    window_correlation,
 )
 
 MODES = (RAW, STANDARDIZED)
@@ -27,10 +24,11 @@ def series_of(values, labels=None):
     return MappedSeries(values=values, channel_labels=labels)
 
 
-def block_window(columns, k=None):
-    """WindowMatrix whose block has the given channel columns."""
+def block_correlation(columns, mode=RAW):
+    """R of the one window whose channel columns are given."""
     block = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    return WindowMatrix(t=block.shape[0] + 1, k=k or block.shape[0], block=block)
+    k = block.shape[0]
+    return window_correlation(series_of(block), t=k + 1, k=k, mode=mode)
 
 
 def matrix_scale(r):
@@ -41,66 +39,65 @@ def matrix_scale(r):
 
 
 def test_block_rows_run_backwards_from_t():
+    # the window of t holds periods t-1 .. t-k and nothing else
     series = series_of([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    window = build_window_matrix(series, t=4, k=3)
-    assert window.block[:, 0].tolist() == [3.0, 2.0, 1.0]
+    assert window_correlation(series, t=4, k=3).r[0, 0] == (9.0 + 4.0 + 1.0) / 2
+    assert window_correlation(series, t=6, k=3).r[0, 0] == (25.0 + 16.0 + 9.0) / 2
 
 
 def test_window_at_boundary_is_insufficient():
     series = series_of(np.ones((5, 1)))
     with pytest.raises(InsufficientHistoryError):
-        build_window_matrix(series, t=3, k=3)
+        window_correlation(series, t=3, k=3)
 
 
 def test_block_indexing_matches_direct_oracle():
     rng = np.random.RandomState(17)
     values = rng.rand(6, 4)
     series = series_of(values)
-    window = build_window_matrix(series, t=6, k=4)
-    # row l (1-based) must be the channel vector of period t - l
-    for l in range(1, 5):
-        assert np.array_equal(window.block[l - 1], values[6 - l - 1])
+    corr = window_correlation(series, t=6, k=4)
+    # row l (1-based) of the block is the channel vector of period t - l
+    block = np.array([values[6 - l - 1] for l in range(1, 5)])
+    assert np.abs(corr.r - block.T @ block / 3).max() <= 1e-12
 
 
 # --- pairwise coefficients --------------------------------------------------
 
 
 def test_zero_channel_has_zero_coefficients():
-    window = block_window([[0.0, 0.0, 0.0], [4.0, 5.0, 6.0]])
-    assert pairwise_coefficient(window, 0, 0) == 0.0
-    assert pairwise_coefficient(window, 0, 1) == 0.0
+    corr = block_correlation([[0.0, 0.0, 0.0], [4.0, 5.0, 6.0]])
+    assert corr.r[0, 0] == 0.0
+    assert corr.r[0, 1] == 0.0
 
 
 def test_pairwise_hand_computed_dot_product():
-    window = block_window([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
-    assert pairwise_coefficient(window, 0, 1) == pytest.approx(2.5, abs=1e-12)
+    corr = block_correlation([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
+    assert corr.r[0, 1] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_standardized_self_coefficient_is_one(make_series):
     series = make_series(5, 10, 3)
-    window = build_window_matrix(series, t=9, k=5, mode=STANDARDIZED)
+    corr = window_correlation(series, t=9, k=5, mode=STANDARDIZED)
     for j in range(3):
-        assert pairwise_coefficient(window, j, j) == pytest.approx(1.0, abs=1e-9)
+        assert corr.r[j, j] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_pairwise_rejects_bad_channel():
-    window = block_window([[1.0, 2.0]])
-    with pytest.raises(ValidationError):
-        pairwise_coefficient(window, 0, 1)
+def test_window_correlation_rejects_unknown_mode():
+    series = series_of(np.ones((5, 1)))
+    with pytest.raises(ValidationError, match="mode"):
+        window_correlation(series, t=4, k=2, mode="pearson")
 
 
 # --- correlation matrices ---------------------------------------------------
 
 
 def test_zero_block_gives_zero_matrix():
-    window = block_window([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    corr = correlation_matrix(window)
+    corr = block_correlation([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert np.array_equal(corr.r, np.zeros((2, 2)))
 
 
 def test_two_channel_hand_computed_gram():
-    window = block_window([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
-    corr = correlation_matrix(window)
+    corr = block_correlation([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
     expected = np.array([[7.0, 2.5], [2.5, 2.5]])
     assert np.abs(corr.r - expected).max() <= 1e-12
 
@@ -112,19 +109,18 @@ def test_matrix_product_matches_triple_loop(seed, mode):
     t_max, n, k = 9, 4, 5
     series = series_of(rng.rand(t_max, n))
     t = 8
-    corr = correlation_matrix(build_window_matrix(series, t, k, mode))
+    corr = window_correlation(series, t, k, mode)
     oracle_corr, _ = naive_oracle(series, t, k, mode)
     assert np.abs(corr.r - oracle_corr.r).max() <= 1e-12
 
 
 def test_correlation_matrix_entries_match_pairwise():
-    window = block_window([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0], [5.0, 5.0, 4.0]])
-    corr = correlation_matrix(window)
+    columns = [[1.0, 2.0, 3.0], [2.0, 0.0, 1.0], [5.0, 5.0, 4.0]]
+    corr = block_correlation(columns)
     for i in range(3):
         for j in range(3):
-            assert corr.r[i, j] == pytest.approx(
-                pairwise_coefficient(window, i, j), rel=1e-12
-            )
+            pairwise = sum(a * b for a, b in zip(columns[i], columns[j])) / 2
+            assert corr.r[i, j] == pytest.approx(pairwise, rel=1e-12)
 
 
 def test_correlation_matrix_rejects_asymmetric_input():
@@ -278,7 +274,7 @@ def random_instance(seed):
 @pytest.mark.parametrize("seed", range(15))
 def test_symmetry_within_tolerance(seed, mode):
     series, t, k = random_instance(seed)
-    corr = correlation_matrix(build_window_matrix(series, t, k, mode))
+    corr = window_correlation(series, t, k, mode)
     assert np.abs(corr.r - corr.r.T).max(initial=0.0) <= 1e-12
 
 
@@ -286,7 +282,7 @@ def test_symmetry_within_tolerance(seed, mode):
 @pytest.mark.parametrize("seed", range(15))
 def test_positive_semidefinite(seed, mode):
     series, t, k = random_instance(seed + 50)
-    corr = correlation_matrix(build_window_matrix(series, t, k, mode))
+    corr = window_correlation(series, t, k, mode)
     floor = -1e-8 * max(1.0, float(np.diagonal(corr.r).max(initial=0.0)))
     assert np.linalg.eigvalsh(corr.r).min() >= floor
 
@@ -294,7 +290,7 @@ def test_positive_semidefinite(seed, mode):
 @pytest.mark.parametrize("seed", range(15))
 def test_standardized_bounds(seed):
     series, t, k = random_instance(seed + 100)
-    corr = correlation_matrix(build_window_matrix(series, t, k, STANDARDIZED))
+    corr = window_correlation(series, t, k, STANDARDIZED)
     assert np.abs(corr.r).max() <= 1.0 + 1e-9
     diag = np.diagonal(corr.r)
     nondegenerate = ~corr.degenerate
@@ -319,8 +315,8 @@ def test_permutation_equivariance(seed, mode):
         values=series.values[:, perm],
         channel_labels=tuple(series.channel_labels[j] for j in perm),
     )
-    corr = correlation_matrix(build_window_matrix(series, t, k, mode))
-    corr_perm = correlation_matrix(build_window_matrix(permuted, t, k, mode))
+    corr = window_correlation(series, t, k, mode)
+    corr_perm = window_correlation(permuted, t, k, mode)
     assert np.abs(corr_perm.r - corr.r[np.ix_(perm, perm)]).max(initial=0.0) <= 1e-12
     v = integral_indicator(corr)
     v_perm = integral_indicator(corr_perm)
@@ -338,8 +334,8 @@ def test_raw_mode_scaling(seed):
     scaled_values[:, j] *= c
     scaled = series_of(scaled_values)
     t = 10
-    r = correlation_matrix(build_window_matrix(series, t, k, RAW)).r
-    r_scaled = correlation_matrix(build_window_matrix(scaled, t, k, RAW)).r
+    r = window_correlation(series, t, k, RAW).r
+    r_scaled = window_correlation(scaled, t, k, RAW).r
     for i in range(n):
         factor = c * c if i == j else c
         assert r_scaled[i, j] == pytest.approx(factor * r[i, j], rel=1e-12)
@@ -355,13 +351,11 @@ def test_standardized_mode_affine_invariance(seed):
     shift = rng.randn(n) * 100
     transformed = series_of(series.values * scale + shift)
     t = 12
-    r = correlation_matrix(build_window_matrix(series, t, k, STANDARDIZED)).r
-    r_affine = correlation_matrix(build_window_matrix(transformed, t, k, STANDARDIZED)).r
+    r = window_correlation(series, t, k, STANDARDIZED).r
+    r_affine = window_correlation(transformed, t, k, STANDARDIZED).r
     assert np.abs(r_affine - r).max() < 1e-9
-    v = integral_indicator(correlation_matrix(build_window_matrix(series, t, k, STANDARDIZED)))
-    v_affine = integral_indicator(
-        correlation_matrix(build_window_matrix(transformed, t, k, STANDARDIZED))
-    )
+    v = integral_indicator(window_correlation(series, t, k, STANDARDIZED))
+    v_affine = integral_indicator(window_correlation(transformed, t, k, STANDARDIZED))
     assert np.abs(v_affine - v).max() < 1e-9
 
 
@@ -369,7 +363,7 @@ def test_standardized_mode_affine_invariance(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_engine_agrees_with_naive_oracle(seed, mode):
     series, t, k = random_instance(seed + 600)
-    corr = correlation_matrix(build_window_matrix(series, t, k, mode))
+    corr = window_correlation(series, t, k, mode)
     indicators = integral_indicator(corr)
     oracle_corr, oracle_ind = naive_oracle(series, t, k, mode)
     scale = matrix_scale(oracle_corr.r)
@@ -392,7 +386,7 @@ def test_masked_channel_is_degenerate_and_silent():
     values = rng.rand(10, 3) * 20
     values[:, 1] = 0.0
     series = series_of(values)
-    corr = correlation_matrix(build_window_matrix(series, 8, 4, STANDARDIZED))
+    corr = window_correlation(series, 8, 4, STANDARDIZED)
     assert corr.degenerate.tolist() == [False, True, False]
     assert np.array_equal(corr.r[1], np.zeros(3))
     assert np.array_equal(corr.r[:, 1], np.zeros(3))

@@ -12,8 +12,7 @@ from regimetrics import (
     apply_mapping,
     check_budget,
     default_catalog,
-    standardize_window,
-    window_rows,
+    window_correlation,
 )
 
 
@@ -83,7 +82,6 @@ def test_full_mask_is_identity():
     series = apply_mapping(model, mapping_for([[1, 1]]))
     assert np.array_equal(series.values, model.events)
     assert series.masked_channels == ()
-    assert series.mode == "raw"
 
 
 def test_empty_mask_zeroes_everything():
@@ -181,64 +179,71 @@ def series_from(columns):
     return MappedSeries(values=values, channel_labels=tuple(f"ch{i}" for i in range(values.shape[1])))
 
 
-def test_window_rows_are_reverse_chronological():
+def zscores(block):
+    """Per-column z-scores with divisor k - 1, for nondegenerate columns."""
+    return (block - block.mean(axis=0)) / block.std(axis=0, ddof=1)
+
+
+def test_window_holds_the_k_periods_before_t():
     series = series_from([[10.0, 20.0, 30.0, 40.0, 50.0]])
-    block = window_rows(series, t=4, k=3)
-    assert block[:, 0].tolist() == [30.0, 20.0, 10.0]
+    corr = window_correlation(series, t=4, k=3)
+    assert corr.r[0, 0] == (30.0**2 + 20.0**2 + 10.0**2) / 2
 
 
 def test_window_requires_history():
     series = series_from([[1.0, 2.0, 3.0]])
     with pytest.raises(InsufficientHistoryError):
-        window_rows(series, t=3, k=3)
+        window_correlation(series, t=3, k=3)
 
 
 def test_window_requires_k_of_at_least_two():
     series = series_from([[1.0, 2.0, 3.0]])
     with pytest.raises(InvalidWindowError):
-        window_rows(series, t=3, k=1)
+        window_correlation(series, t=3, k=1)
 
 
 def test_window_cannot_reach_past_series_end():
     series = series_from([[1.0, 2.0, 3.0]])
     with pytest.raises(ValidationError, match="beyond"):
-        window_rows(series, t=6, k=2)
+        window_correlation(series, t=6, k=2)
 
 
 def test_standardize_constant_channel_is_degenerate():
     series = series_from([[5.0] * 6, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
-    block = standardize_window(series, t=6, k=4)
-    assert np.array_equal(block.values[:, 0], np.zeros(4))
-    assert block.degenerate.tolist() == [True, False]
+    corr = window_correlation(series, t=6, k=4, mode="standardized")
+    assert np.array_equal(corr.r[0], np.zeros(2))
+    assert corr.degenerate.tolist() == [True, False]
 
 
 def test_standardize_hand_computed_zscores():
-    # channel values 1, 2, 3: mean 2, sample std 1 -> z-scores -1, 0, 1
-    series = series_from([[1.0, 2.0, 3.0]])
-    block = standardize_window(series, t=4, k=3)
-    # rows run backwards in time: periods 3, 2, 1
-    assert block.values[:, 0].tolist() == [1.0, 0.0, -1.0]
-    assert not block.degenerate[0]
+    # channel a = 1, 2, 3 and b = 3, 1, 2: mean 2 and sample std 1 each,
+    # so z_a = -1, 0, 1 and z_b = 1, -1, 0, and r_ab = (-1 + 0 + 0) / 2
+    series = series_from([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    corr = window_correlation(series, t=4, k=3, mode="standardized")
+    assert corr.r.tolist() == [[1.0, -0.5], [-0.5, 1.0]]
+    assert not corr.degenerate.any()
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_standardized_windows_have_zero_mean_unit_std(seed, make_series):
+    # Pearson coefficients are the Gram of zero-mean, unit-std columns
     series = make_series(seed, 12, 4)
-    block = standardize_window(series, t=10, k=6)
-    assert np.abs(block.values.mean(axis=0)).max() <= 1e-9
-    assert np.abs(block.values.std(axis=0, ddof=1) - 1.0).max() <= 1e-9
+    corr = window_correlation(series, t=10, k=6, mode="standardized")
+    window = series.values[3:9]
+    assert np.abs(corr.r - np.corrcoef(window, rowvar=False)).max() <= 1e-9
+    assert np.abs(np.diagonal(corr.r) - 1.0).max() <= 1e-9
 
 
 def test_standardize_is_idempotent():
     rng = np.random.RandomState(11)
     series = series_from(rng.rand(7, 3).T * 50)
-    once = standardize_window(series, t=7, k=5)
-    # feed the standardized block back in as a 5-period series
+    once = window_correlation(series, t=7, k=5, mode="standardized")
+    # feed the standardized window back in as a 5-period series
     reseries = MappedSeries(
-        values=once.values[::-1].copy(), channel_labels=series.channel_labels
+        values=zscores(series.values[1:6]), channel_labels=series.channel_labels
     )
-    again = standardize_window(reseries, t=6, k=5)
-    assert np.abs(again.values - once.values).max() <= 1e-9
+    again = window_correlation(reseries, t=6, k=5, mode="standardized")
+    assert np.abs(again.r - once.r).max() <= 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -250,7 +255,7 @@ def test_standardize_invariant_under_positive_affine_transform(seed, make_series
     transformed = MappedSeries(
         values=series.values * scale + shift, channel_labels=series.channel_labels
     )
-    original = standardize_window(series, t=9, k=6)
-    mapped = standardize_window(transformed, t=9, k=6)
-    assert np.abs(original.values - mapped.values).max() <= 1e-9
+    original = window_correlation(series, t=9, k=6, mode="standardized")
+    mapped = window_correlation(transformed, t=9, k=6, mode="standardized")
+    assert np.abs(original.r - mapped.r).max() <= 1e-9
     assert np.array_equal(original.degenerate, mapped.degenerate)
