@@ -165,23 +165,14 @@ def _load_catalog_stream(handle, source) -> DescriptorCatalog:
 
 
 def save_catalog(catalog: DescriptorCatalog, path) -> Path:
-    """Write a catalog back out in the document format (round-trips)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CATALOG_FIELDS)
-        for entry in catalog.entries:
-            writer.writerow(
-                [
-                    entry.level,
-                    entry.level_name,
-                    entry.skill_id,
-                    entry.skill_name,
-                    entry.request_id,
-                    entry.request_text,
-                ]
-            )
-    return path
+    """Write a catalog back out in the document format (round-trips), atomically."""
+    from .io import _write_table  # not at module level: io imports this module
+
+    rows = (
+        (e.level, e.level_name, e.skill_id, e.skill_name, e.request_id, e.request_text)
+        for e in catalog.entries
+    )
+    return _write_table(path, CATALOG_FIELDS, rows)
 
 
 @lru_cache(maxsize=1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientHistoryError, InvalidWindowError, ValidationError
+from .errors import ValidationError
 from .model import (
     RAW,
     STANDARDIZED,
@@ -265,12 +265,7 @@ def indicator_series(
     a prefix of the series are the leading rows of the full run.
     """
     validate_mode(mode)
-    if k < 2:
-        raise InvalidWindowError(f"window length must be at least 2, got {k}")
-    if series.t_max <= k:
-        raise InsufficientHistoryError(
-            f"series has {series.t_max} periods, need more than the window length {k}"
-        )
+    _check_window_bounds(series.t_max, series.t_max, k)  # t_max, the last period, has a window
     values, _ = _window_kernel(series, k, mode, k + 1, series.t_max)
     return IndicatorSeries(
         periods=np.arange(k + 1, series.t_max + 1),
@@ -359,14 +354,7 @@ def naive_oracle(
     the precondition checks.
     """
     validate_mode(mode)
-    if k < 2:
-        raise InvalidWindowError(f"window length must be at least 2, got {k}")
-    if t <= k:
-        raise InsufficientHistoryError(
-            f"period {t} has only {max(t - 1, 0)} preceding periods, window needs {k}"
-        )
-    if t > series.t_max + 1:
-        raise ValidationError(f"period {t} lies beyond the series (last period {series.t_max})")
+    _check_window_bounds(series.t_max, t, k)
     n = series.n
     data = series.values
     rows = [[float(data[t - l - 1, j]) for j in range(n)] for l in range(1, k + 1)]

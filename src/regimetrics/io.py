@@ -1,30 +1,35 @@
 """File formats and report emission.
 
-All formats are delimited text, friendly to spreadsheets and diff tools:
+Every format but the scenario is a delimited table: optional
+``# name: value`` directives, a header row, then data rows as wide as
+the header, blank lines skipped; a leading ``t`` column runs densely by
+1. One reader (``_read_table``) and one writer (``_write_table``) serve:
 
-* event series: header ``t,<label1>,...,<labeln>``, one row per period,
-  period indices dense from 1;
+* event series: header ``t,<label1>,...,<labeln>``, periods from 1;
 * mapping: ``# budget:`` / ``# cost:`` directives followed by sparse
   ``competency_id,channel_label,flag`` rows (absent pairs default to 0);
-* scenario: a JSON object mirroring ScenarioConfig;
 * comparison table: ``t,v_basic,v_ddescr,dv`` rows with an optional
   ``# totals:`` directive;
 * indicator table: ``t,<labels...>,total``;
 * plot data: ``t,v_total`` pairs.
 
-Computed values are serialized with full round-trip precision (shortest
-repr); files are written atomically (write to a temporary file in the
-same directory, then rename) and byte-identical across repeated runs
-with identical inputs.
+The scenario is a JSON object mirroring ScenarioConfig. Computed values
+are serialized with full round-trip precision (shortest repr); files are
+written atomically (write to a temporary file in the same directory,
+then rename) and byte-identical across repeated runs with identical
+inputs.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
+import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +45,7 @@ EVENT_PERIOD_COLUMN = "t"
 COMPARISON_HEADER = ("t", "v_basic", "v_ddescr", "dv")
 PLOT_HEADER = ("t", "v_total")
 MAPPING_HEADER = ("competency_id", "channel_label", "flag")
+TOTAL_COLUMNS = ("total", "v_total")
 
 
 def fmt(value: float) -> str:
@@ -70,78 +76,139 @@ def _parse_float(cell: str, source, line: int, column: str) -> float:
         value = float(cell)
     except ValueError:
         raise ParseError(f"column {column!r}: {cell!r} is not a number", source=source, line=line)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"column {column!r}: {cell!r} is not finite", source=source, line=line)
     return value
 
 
-def _parse_int(cell: str, source, line: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"column {column!r}: {cell!r} is not an integer", source=source, line=line)
+# --- delimited tables ------------------------------------------------------
 
 
-def _csv_text(rows) -> str:
+def _is_indicator_header(header) -> bool:
+    """The kind rule: ``t,...,total`` and ``t,...,v_total`` mark indicator outputs.
+
+    So ``total`` and ``v_total`` are reserved as an event series' last label.
+    """
+    return len(header) > 1 and header[0] == EVENT_PERIOD_COLUMN and header[-1] in TOTAL_COLUMNS
+
+
+def is_indicator_output(path) -> bool:
+    """Whether ``path`` holds an indicator table or plot data rather than an event series."""
+    with _read_table(path) as (_, header, _, _):
+        return _is_indicator_header(header)
+
+
+@contextmanager
+def _read_table(path, directives=(), first_period=None):
+    """Open a delimited table; yield ``(line, header, found, rows)``.
+
+    ``line`` is the header's physical line and ``found`` the directives
+    as ``(line, name, value)``; a name not in ``directives`` is an error.
+    ``rows`` streams ``(line, t, cells)`` per data row. When the header
+    starts with ``t``, ``t`` must be ``first_period`` (by default the
+    first row's own value) on the first row and go up by 1 on each later
+    row, and ``cells`` are the other fields; otherwise ``t`` is None.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        found = []
+        for header_line, raw in enumerate(handle, start=1):
+            text = raw.strip()
+            if text.startswith("#"):
+                name, colon, value = (part.strip() for part in text[1:].partition(":"))
+                if not colon or name not in directives:
+                    message = f"unknown directive {text[1:].strip()!r}"
+                    raise ParseError(message, source=path, line=header_line)
+                found.append((header_line, name, value))
+            elif text:
+                break
+        else:
+            raise ParseError("missing header", source=path, line=1)
+        reader = csv.reader(itertools.chain([raw], handle))
+        header = tuple(field.strip() for field in next(reader))
+
+        def rows():
+            start = expected = first_period
+            for row in reader:
+                line = header_line - 1 + reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if row[0].lstrip().startswith("#"):
+                    raise ParseError("directives must precede the header", source=path, line=line)
+                if len(row) != len(header):
+                    message = f"expected {len(header)} fields, got {len(row)}"
+                    raise ParseError(message, source=path, line=line)
+                if header[0] != EVENT_PERIOD_COLUMN:
+                    yield line, None, row
+                    continue
+                try:
+                    t = int(row[0])
+                except ValueError:
+                    message = f"column 't': {row[0]!r} is not an integer"
+                    raise ParseError(message, source=path, line=line)
+                if expected is None:
+                    start = expected = t
+                if t > expected:
+                    raise ParseError(f"missing period {expected}", source=path, line=line)
+                if t < expected:
+                    if t >= start:
+                        raise ParseError(f"duplicate period {t}", source=path, line=line)
+                    message = f"period {t} precedes the first period {start}"
+                    raise ParseError(message, source=path, line=line)
+                expected += 1
+                yield line, t, row[1:]
+
+        yield header_line, header, found, rows()
+
+
+def _write_table(path, header, rows, directives=()) -> Path:
+    """Write ``# name: value`` directives, a header and rows atomically."""
     buffer = _io.StringIO()
+    buffer.writelines(f"# {name}: {value}\n" for name, value in directives)
     writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    return atomic_write_text(path, buffer.getvalue())
 
 
 # --- event series ----------------------------------------------------------
 
 
 def write_events(model: EnterpriseModel, path) -> Path:
-    rows = [[EVENT_PERIOD_COLUMN, *model.channel_labels]]
-    for index in range(model.t_max):
-        rows.append([index + 1, *(fmt(v) for v in model.events[index])])
-    return atomic_write_text(path, _csv_text(rows))
+    """Write an event-series file; refuses labels that parse_events rejects."""
+    header = (EVENT_PERIOD_COLUMN, *model.channel_labels)
+    if _is_indicator_header(header):
+        message = f"last channel label {header[-1]!r} is reserved for indicator outputs"
+        raise ValidationError(message)
+    rows = ((t, *map(fmt, values)) for t, values in enumerate(model.events, start=1))
+    return _write_table(path, header, rows)
 
 
 def parse_events(path) -> EnterpriseModel:
     """Read an event-series file into a model.
 
-    The period column must run densely 1, 2, ... with no gaps,
-    duplicates or reordering; every cell must be a finite number and
-    every row must have the same width as the header.
+    Periods run densely from 1, every cell must be a finite number, and
+    the header of an indicator output is rejected.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty", source=path, line=1)
-        if not header or header[0].strip() != EVENT_PERIOD_COLUMN:
-            raise ParseError(
-                f"first header column must be {EVENT_PERIOD_COLUMN!r}", source=path, line=1
-            )
-        labels = tuple(label.strip() for label in header[1:])
-        if not labels:
-            raise ParseError("at least one channel column is required", source=path, line=1)
-        if len(set(labels)) != len(labels):
-            raise ParseError("channel labels must be unique", source=path, line=1)
-        data: list[list[float]] = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(labels) + 1:
-                raise ParseError(
-                    f"expected {len(labels) + 1} fields, got {len(row)}", source=path, line=line
-                )
-            period = _parse_int(row[0], path, line, EVENT_PERIOD_COLUMN)
-            expected = len(data) + 1
-            if period < expected:
-                raise ParseError(f"duplicate period {period}", source=path, line=line)
-            if period > expected:
-                raise ParseError(f"missing period {expected}", source=path, line=line)
-            data.append(
-                [_parse_float(cell, path, line, labels[i]) for i, cell in enumerate(row[1:])]
-            )
+    with _read_table(path, first_period=1) as (line, header, _, rows):
+        labels = header[1:]
+        if header[0] != EVENT_PERIOD_COLUMN:
+            problem = f"first header column must be {EVENT_PERIOD_COLUMN!r}"
+        elif not labels:
+            problem = "at least one channel column is required"
+        elif len(set(labels)) != len(labels):
+            problem = "channel labels must be unique"
+        elif _is_indicator_header(header):
+            problem = f"header of an indicator output: last label {labels[-1]!r} is reserved"
+        else:
+            problem = None
+        if problem:
+            raise ParseError(problem, source=path, line=line)
+        data: list[float] = []
+        for at, _, cells in rows:
+            data += [_parse_float(cell, path, at, label) for cell, label in zip(cells, labels)]
     if not data:
-        raise ParseError("no data rows (t_max = 0)", source=path, line=1)
-    return EnterpriseModel(events=np.array(data), channel_labels=labels)
+        raise ParseError("no data rows (t_max = 0)", source=path, line=line)
+    return EnterpriseModel(events=np.array(data).reshape(-1, len(labels)), channel_labels=labels)
 
 
 # --- competency mapping ----------------------------------------------------
@@ -153,15 +220,15 @@ def write_mapping(mapping: CompetencyMapping, channel_labels, path) -> Path:
         raise ValidationError(
             f"mapping covers {mapping.n} channels but {len(channel_labels)} labels given"
         )
-    lines = [f"# budget: {fmt(mapping.budget)}"]
+    directives = [("budget", fmt(mapping.budget))]
     for cid, cost in zip(mapping.competency_ids, mapping.costs):
-        lines.append(f"# cost: {cid} = {fmt(cost)}")
-    rows = [list(MAPPING_HEADER)]
-    for i, cid in enumerate(mapping.competency_ids):
-        for j in np.flatnonzero(mapping.flags[i]):
-            rows.append([cid, channel_labels[j], 1])
-    text = "\n".join(lines) + "\n" + _csv_text(rows)
-    return atomic_write_text(path, text)
+        directives.append(("cost", f"{cid} = {fmt(cost)}"))
+    rows = (
+        (cid, channel_labels[j], 1)
+        for cid, flags in zip(mapping.competency_ids, mapping.flags)
+        for j in np.flatnonzero(flags)
+    )
+    return _write_table(path, MAPPING_HEADER, rows, directives)
 
 
 def parse_mapping(path, channel_labels, catalog: DescriptorCatalog | None = None) -> CompetencyMapping:
@@ -169,70 +236,41 @@ def parse_mapping(path, channel_labels, catalog: DescriptorCatalog | None = None
 
     When a catalog is supplied, every competency id must resolve in it.
     """
-    path = Path(path)
     channel_labels = tuple(channel_labels)
     column_of = {label: j for j, label in enumerate(channel_labels)}
     budget: float | None = None
     costs: dict[str, float] = {}
-    order: list[str] = []
     pairs: dict[tuple[str, str], int] = {}
-    header_seen = False
-    with path.open(newline="", encoding="utf-8") as handle:
-        for line, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped:
+    with _read_table(path, ("budget", "cost")) as (line, header, found, rows):
+        for at, name, value in found:
+            if name == "budget":
+                if budget is not None:
+                    raise ParseError("duplicate budget directive", source=path, line=at)
+                budget = _parse_float(value, path, at, "budget")
                 continue
-            if stripped.startswith("#"):
-                if header_seen:
-                    raise ParseError("directives must precede the header", source=path, line=line)
-                body = stripped[1:].strip()
-                if not body:
-                    continue
-                if body.startswith("budget:"):
-                    if budget is not None:
-                        raise ParseError("duplicate budget directive", source=path, line=line)
-                    budget = _parse_float(body[len("budget:"):].strip(), path, line, "budget")
-                elif body.startswith("cost:"):
-                    directive = body[len("cost:"):]
-                    if "=" not in directive:
-                        raise ParseError(
-                            "cost directive must be '# cost: <id> = <number>'",
-                            source=path,
-                            line=line,
-                        )
-                    cid, _, amount = directive.partition("=")
-                    cid = cid.strip()
-                    if not cid:
-                        raise ParseError("cost directive has empty id", source=path, line=line)
-                    if cid in costs:
-                        raise ParseError(f"duplicate cost for {cid!r}", source=path, line=line)
-                    costs[cid] = _parse_float(amount.strip(), path, line, "cost")
-                    order.append(cid)
-                else:
-                    raise ParseError(f"unknown directive {body!r}", source=path, line=line)
-                continue
-            row = next(csv.reader([stripped]))
-            if not header_seen:
-                if tuple(field.strip() for field in row) != MAPPING_HEADER:
-                    raise ParseError(
-                        f"header must be {','.join(MAPPING_HEADER)}", source=path, line=line
-                    )
-                header_seen = True
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", source=path, line=line)
+            cid, equals, amount = (part.strip() for part in value.partition("="))
+            if not equals:
+                message = "cost directive must be '# cost: <id> = <number>'"
+                raise ParseError(message, source=path, line=at)
+            if not cid:
+                raise ParseError("cost directive has empty id", source=path, line=at)
+            if cid in costs:
+                raise ParseError(f"duplicate cost for {cid!r}", source=path, line=at)
+            costs[cid] = _parse_float(amount, path, at, "cost")
+        if header != MAPPING_HEADER:
+            raise ParseError(f"header must be {','.join(MAPPING_HEADER)}", source=path, line=line)
+        order = list(costs)
+        for at, _, row in rows:
             cid, label, flag_text = (field.strip() for field in row)
             if label not in column_of:
-                raise ParseError(f"unknown channel label {label!r}", source=path, line=line)
+                raise ParseError(f"unknown channel label {label!r}", source=path, line=at)
             if flag_text not in ("0", "1"):
-                raise ParseError(f"flag must be 0 or 1, got {flag_text!r}", source=path, line=line)
+                raise ParseError(f"flag must be 0 or 1, got {flag_text!r}", source=path, line=at)
             if (cid, label) in pairs:
-                raise ParseError(f"duplicate pair ({cid!r}, {label!r})", source=path, line=line)
+                raise ParseError(f"duplicate pair ({cid!r}, {label!r})", source=path, line=at)
             pairs[(cid, label)] = int(flag_text)
-            if cid not in costs and cid not in order:
+            if cid not in order:
                 order.append(cid)
-    if not header_seen:
-        raise ParseError("missing mapping header", source=path, line=1)
     if budget is None:
         raise ParseError("missing '# budget:' directive", source=path, line=1)
     flags = np.zeros((len(order), len(channel_labels)), dtype=np.int8)
@@ -325,17 +363,9 @@ def write_scenario(config: ScenarioConfig, path) -> Path:
 
 
 def write_comparison_table(path, periods, basic, treated, delta, totals=None) -> Path:
-    lines = []
-    if totals is not None:
-        basic_total, treated_total, delta_total = totals
-        lines.append(
-            f"# totals: {fmt(basic_total)},{fmt(treated_total)},{fmt(delta_total)}"
-        )
-    rows = [list(COMPARISON_HEADER)]
-    for t, vb, vd, dv in zip(periods, basic, treated, delta):
-        rows.append([int(t), fmt(vb), fmt(vd), fmt(dv)])
-    text = ("\n".join(lines) + "\n" if lines else "") + _csv_text(rows)
-    return atomic_write_text(path, text)
+    directives = () if totals is None else [("totals", ",".join(map(fmt, totals)))]
+    rows = ((int(t), *map(fmt, values)) for t, *values in zip(periods, basic, treated, delta))
+    return _write_table(path, COMPARISON_HEADER, rows, directives)
 
 
 def read_comparison_table(path):
@@ -344,106 +374,54 @@ def read_comparison_table(path):
     Returns (periods, v_basic, v_ddescr, dv, totals) where totals is the
     ``# totals:`` triple or None.
     """
-    path = Path(path)
     totals = None
     periods: list[int] = []
-    columns: list[list[float]] = [[], [], []]
-    header_seen = False
-    with path.open(newline="", encoding="utf-8") as handle:
-        for line, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                if header_seen:
-                    raise ParseError("directives must precede the header", source=path, line=line)
-                body = stripped[1:].strip()
-                if not body.startswith("totals:"):
-                    raise ParseError(f"unknown directive {body!r}", source=path, line=line)
-                if totals is not None:
-                    raise ParseError("duplicate totals directive", source=path, line=line)
-                parts = body[len("totals:"):].split(",")
-                if len(parts) != 3:
-                    raise ParseError("totals directive needs 3 numbers", source=path, line=line)
-                totals = tuple(
-                    _parse_float(part.strip(), path, line, "totals") for part in parts
-                )
-                continue
-            row = next(csv.reader([stripped]))
-            if not header_seen:
-                if tuple(field.strip() for field in row) != COMPARISON_HEADER:
-                    raise ParseError(
-                        f"header must be {','.join(COMPARISON_HEADER)}", source=path, line=line
-                    )
-                header_seen = True
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", source=path, line=line)
-            periods.append(_parse_int(row[0], path, line, "t"))
-            for column_index in range(3):
-                columns[column_index].append(
-                    _parse_float(
-                        row[column_index + 1], path, line, COMPARISON_HEADER[column_index + 1]
-                    )
-                )
-    if not header_seen:
-        raise ParseError("missing comparison header", source=path, line=1)
-    return (
-        np.array(periods, dtype=int),
-        np.array(columns[0]),
-        np.array(columns[1]),
-        np.array(columns[2]),
-        totals,
-    )
+    values: list[float] = []
+    with _read_table(path, ("totals",)) as (line, header, found, rows):
+        for at, _, value in found:
+            if totals is not None:
+                raise ParseError("duplicate totals directive", source=path, line=at)
+            parts = value.split(",")
+            if len(parts) != 3:
+                raise ParseError("totals directive needs 3 numbers", source=path, line=at)
+            totals = tuple(_parse_float(part.strip(), path, at, "totals") for part in parts)
+        if header != COMPARISON_HEADER:
+            message = f"header must be {','.join(COMPARISON_HEADER)}"
+            raise ParseError(message, source=path, line=line)
+        for at, t, cells in rows:
+            periods.append(t)
+            values += [_parse_float(cell, path, at, name) for cell, name in zip(cells, header[1:])]
+    basic, treated, delta = np.array(values).reshape(-1, 3).T.copy()
+    return np.array(periods, dtype=int), basic, treated, delta, totals
 
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
-    rows = [[EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total"]]
-    row_totals = indicators.per_period_totals()
-    for index, t in enumerate(indicators.periods):
-        rows.append(
-            [int(t), *(fmt(v) for v in indicators.values[index]), fmt(row_totals[index])]
-        )
-    return atomic_write_text(path, _csv_text(rows))
+    header = (EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total")
+    totals = indicators.per_period_totals()
+    rows = (
+        (int(t), *map(fmt, values), fmt(total))
+        for t, values, total in zip(indicators.periods, indicators.values, totals)
+    )
+    return _write_table(path, header, rows)
 
 
 def read_indicator_column(path) -> tuple[np.ndarray, np.ndarray]:
     """Per-period aggregate column of an indicator table or plot file."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(row for row in handle if not row.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty", source=path, line=1)
-        if header[0].strip() != EVENT_PERIOD_COLUMN or header[-1].strip() not in (
-            "total",
-            "v_total",
-        ):
-            raise ParseError(
-                "not an indicator output (header must start with 't' and end with a total column)",
-                source=path,
-                line=1,
-            )
-        periods: list[int] = []
-        values: list[float] = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", source=path, line=line
-                )
-            periods.append(_parse_int(row[0], path, line, "t"))
-            values.append(_parse_float(row[-1], path, line, header[-1]))
+    periods: list[int] = []
+    values: list[float] = []
+    with _read_table(path) as (line, header, _, rows):
+        if not _is_indicator_header(header):
+            message = "not an indicator output (header must start with 't' and end with a total)"
+            raise ParseError(message, source=path, line=line)
+        for at, t, cells in rows:
+            periods.append(t)
+            values.append(_parse_float(cells[-1], path, at, header[-1]))
     return np.array(periods, dtype=int), np.array(values)
 
 
 def write_plot_data(path, periods, aggregates) -> Path:
-    rows = [list(PLOT_HEADER)]
-    for t, value in zip(periods, aggregates):
-        rows.append([int(t), fmt(value)])
-    return atomic_write_text(path, _csv_text(rows))
+    rows = ((int(t), fmt(value)) for t, value in zip(periods, aggregates))
+    return _write_table(path, PLOT_HEADER, rows)
 
 
 # --- analysis reports ------------------------------------------------------
@@ -483,57 +461,29 @@ def emit_report(report: AnalysisReport, destination, pad_warmup: bool = False) -
     """
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def plot_rows(periods, aggregates):
-        if not pad_warmup:
-            return periods, aggregates
-        warmup = np.arange(1, report.k + 1)
-        return (
-            np.concatenate([warmup, periods]),
-            np.concatenate([np.zeros(report.k), aggregates]),
+    comparison, indicators = report.comparison, report.indicators
+    periods = (indicators if comparison is None else comparison).periods
+    if periods.size == 0:
+        raise ValidationError("refusing to emit a report with no evaluable periods")
+    if comparison is not None:
+        totals = (comparison.basic_total, comparison.treated_total, comparison.delta_total)
+        table = write_comparison_table(
+            destination / "comparison.csv",
+            periods,
+            comparison.basic,
+            comparison.treated,
+            comparison.delta,
+            totals=totals,
         )
-
-    if report.comparison is not None:
-        comparison = report.comparison
-        if comparison.periods.size == 0:
-            raise ValidationError("refusing to emit a report with no evaluable periods")
-        written.append(
-            write_comparison_table(
-                destination / "comparison.csv",
-                comparison.periods,
-                comparison.basic,
-                comparison.treated,
-                comparison.delta,
-                totals=(
-                    comparison.basic_total,
-                    comparison.treated_total,
-                    comparison.delta_total,
-                ),
-            )
-        )
-        written.append(
-            write_plot_data(
-                destination / "plot_basic.csv", *plot_rows(comparison.periods, comparison.basic)
-            )
-        )
-        written.append(
-            write_plot_data(
-                destination / "plot_ddescr.csv",
-                *plot_rows(comparison.periods, comparison.treated),
-            )
-        )
+        plots = {"plot_basic.csv": comparison.basic, "plot_ddescr.csv": comparison.treated}
     else:
-        indicators = report.indicators
-        if indicators.periods.size == 0:
-            raise ValidationError("refusing to emit a report with no evaluable periods")
-        written.append(write_indicator_table(indicators, destination / "indicators.csv"))
-        written.append(
-            write_plot_data(
-                destination / "plot.csv",
-                *plot_rows(indicators.periods, indicators.per_period_totals()),
-            )
-        )
+        table = write_indicator_table(indicators, destination / "indicators.csv")
+        plots = {"plot.csv": indicators.per_period_totals()}
+    if pad_warmup:
+        periods = np.concatenate([np.arange(1, report.k + 1), periods])
+        plots = {name: np.concatenate([np.zeros(report.k), v]) for name, v in plots.items()}
+    written = [table]
+    written += [write_plot_data(destination / name, periods, v) for name, v in plots.items()]
     metadata = {
         "k": report.k,
         "mode": report.mode,

@@ -121,25 +121,32 @@ def generate_series(config: ScenarioConfig) -> EnterpriseModel:
                     value += proc.noise_scale * rng.next_unit_interval_symmetric()
                 else:
                     rng.next_unit_interval_symmetric()  # keep streams aligned
-                if (
-                    config.intervention_period is not None
-                    and c == 0
-                    and t >= config.intervention_period
-                ):
-                    value += config.intervention_cost_per_period
                 column[t - 1] = value
             labels.append(f"{proc.name}.{c + 1}")
             columns.append(column)
             stream += 1
-    return EnterpriseModel(events=np.column_stack(columns), channel_labels=tuple(labels))
+    events = _with_intervention(np.column_stack(columns), config)
+    return EnterpriseModel(events=events, channel_labels=tuple(labels))
+
+
+def _with_intervention(events: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    # Adding the cost after the baseline value is the same IEEE-754 sum a
+    # per-value branch would take, so treated = baseline + cost exactly.
+    if config.intervention_period is None:
+        return events
+    first_channels = np.cumsum([0] + [proc.channels for proc in config.processes[:-1]])
+    treated = events.copy()
+    treated[config.intervention_period - 1 :, first_channels] += config.intervention_cost_per_period
+    return treated
 
 
 def paired_scenarios(config: ScenarioConfig) -> tuple[EnterpriseModel, EnterpriseModel]:
     """(baseline, treated) pair differing only in the intervention.
 
-    Both runs share the seed, so the noise realizations are identical;
-    the baseline simply has the intervention disabled.
+    The baseline is generated once with the intervention disabled, and
+    the treated series is that baseline plus the intervention cost, so
+    the noise realizations are identical.
     """
     baseline = generate_series(replace(config, intervention_period=None))
-    treated = generate_series(config)
-    return baseline, treated
+    treated = _with_intervention(baseline.events, config)
+    return baseline, EnterpriseModel(events=treated, channel_labels=baseline.channel_labels)

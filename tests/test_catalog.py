@@ -148,6 +148,20 @@ def test_round_trip(tmp_path):
     assert load_catalog(path) == catalog
 
 
+def test_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.csv"
+    path.write_text("previous contents\n")
+
+    def failed_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("os.replace", failed_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        save_catalog(default_catalog(), path)
+    assert path.read_text() == "previous contents\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["catalog.csv"]
+
+
 def test_load_order_independent(tmp_path):
     rows = make_rows()
     rows.reverse()

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from regimetrics import load_reference, write_reference
+from regimetrics import ParseError, load_reference, write_reference
 from regimetrics.cli import main
-from regimetrics.io import read_comparison_table
+from regimetrics.io import read_comparison_table, read_indicator_column
 from regimetrics.reference import ReferenceTable
 
 SCENARIO = {
@@ -181,3 +181,39 @@ def test_missing_events_file_is_an_error(tmp_path, capsys):
     code = run(["analyze", "--events", tmp_path / "nope.csv", "--output-dir", tmp_path / "o"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def write_plot(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_analyze_rejects_padded_plot_file(tmp_path, scenario_path, capsys):
+    data = tmp_path / "data"
+    run(["generate", "--config", scenario_path, "--output-dir", data])
+    run(["analyze", "--events", data / "events_treated.csv", "--window", "5",
+         "--pad-warmup", "--output-dir", tmp_path / "padded"])
+    code = run(["analyze", "--events", tmp_path / "padded" / "plot.csv",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert "plot.csv:1: header of an indicator output" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_and_reader_agree_on_plot_file_with_directive(tmp_path, capsys):
+    plot = write_plot(tmp_path / "plot.csv", ["# run: 7", "t,v_total", "6,1.0", "7,2.0"])
+    with pytest.raises(ParseError, match="unknown directive") as excinfo:
+        read_indicator_column(plot)
+    code = run(["compare", "--basic", plot, "--treated", plot, "--window", "5",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+def test_compare_rejects_plot_file_with_periods_out_of_order(tmp_path, capsys):
+    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", "5,1.0", "3,2.0", "3,3.0"])
+    code = run(["compare", "--basic", plot, "--treated", plot, "--window", "4",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert "plot.csv:3: period 3 precedes the first period 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -25,7 +25,7 @@ from regimetrics import (
     write_reference,
     write_scenario,
 )
-from regimetrics.io import read_comparison_table, read_indicator_column
+from regimetrics.io import is_indicator_output, read_comparison_table, read_indicator_column
 
 
 def write_lines(path, lines):
@@ -318,3 +318,68 @@ def test_atomic_write_replaces_existing(tmp_path, make_series):
     emit_report(report, target)
     assert (target / "indicators.csv").read_bytes() == before
     assert not list(target.glob("*.tmp"))
+
+
+# --- shared table reader and the kind rule -----------------------------------
+
+
+@pytest.mark.parametrize("last", ["total", "v_total"])
+def test_event_file_with_reserved_last_label_is_an_indicator_output(tmp_path, last):
+    path = write_lines(tmp_path / "events.csv", [f"t,a,{last}", "1,1.0,2.0", "2,3.0,4.0"])
+    assert is_indicator_output(path)
+    with pytest.raises(ParseError, match="indicator output") as excinfo:
+        parse_events(path)
+    assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize("last", ["total", "v_total"])
+def test_write_events_refuses_reserved_last_label(tmp_path, last):
+    model = EnterpriseModel(events=np.ones((3, 2)), channel_labels=("a", last))
+    with pytest.raises(ValidationError, match="reserved"):
+        write_events(model, tmp_path / "events.csv")
+    assert not (tmp_path / "events.csv").exists()
+
+
+def test_indicator_column_skips_leading_blank_line(tmp_path):
+    path = write_lines(tmp_path / "plot.csv", ["", "t,v_total", "5,1.5", "6,2.5"])
+    periods, values = read_indicator_column(path)
+    assert periods.tolist() == [5, 6]
+    assert values.tolist() == [1.5, 2.5]
+
+
+@pytest.mark.parametrize(
+    "lines, line, match",
+    [
+        # the first '#' line is what is wrong: plot files carry no directives
+        (["# a: 1", "# b: 2", "t,v_total", "5,1.0", "6,oops"], 1, "unknown directive"),
+        # a quoted label spans lines 1-2, so the bad cell sits on physical line 5
+        (['t,"x', 'y",total', "", "5,1.0,1.0", "6,2.0,oops"], 5, "not a number"),
+    ],
+)
+def test_indicator_column_errors_name_the_physical_line(tmp_path, lines, line, match):
+    path = write_lines(tmp_path / "indicators.csv", lines)
+    with pytest.raises(ParseError, match=match) as excinfo:
+        read_indicator_column(path)
+    assert excinfo.value.line == line
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        (["5,1.0", "7,2.0"], "missing period 6"),
+        (["5,1.0", "5,2.0"], "duplicate period 5"),
+        (["5,1.0", "3,2.0"], "period 3 precedes the first period 5"),
+    ],
+)
+def test_indicator_periods_run_densely_from_the_first_row(tmp_path, rows, match):
+    path = write_lines(tmp_path / "plot.csv", ["t,v_total", *rows])
+    with pytest.raises(ParseError, match=match) as excinfo:
+        read_indicator_column(path)
+    assert excinfo.value.line == 3
+
+
+def test_directive_after_header_rejected(tmp_path):
+    path = write_lines(tmp_path / "events.csv", ["t,a", "1,1.0", "# note: late", "2,2.0"])
+    with pytest.raises(ParseError, match="directives must precede the header") as excinfo:
+        parse_events(path)
+    assert excinfo.value.line == 3
