@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, not_utf8
 
 LEVELS = (1, 2, 3)
 SKILLS_PER_LEVEL = 5
@@ -134,7 +134,10 @@ def load_catalog(source) -> DescriptorCatalog:
         return _load_catalog_stream(source, getattr(source, "name", "<stream>"))
     path = Path(source)
     with path.open(newline="", encoding="utf-8") as handle:
-        return _load_catalog_stream(handle, path)
+        try:
+            return _load_catalog_stream(handle, path)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 def _load_catalog_stream(handle, source) -> DescriptorCatalog:

@@ -139,7 +139,7 @@ def _regime_column(path: Path, k: int, mode: str):
     # parse_events is looked up on this module, so a wrapper set here (as the
     # benchmark's traced run sets one) sees every event-file parse.
     if is_indicator_output(path):
-        return read_indicator_column(path)
+        return read_indicator_column(path, k)
     model = parse_events(path)
     indicators = indicator_series(MappedSeries.from_model(model), k, mode)
     return indicators.periods, indicators.per_period_totals()

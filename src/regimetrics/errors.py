@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from pathlib import Path
+
 
 class RegimetricsError(Exception):
     """Base class for all errors raised by regimetrics."""
@@ -24,6 +26,17 @@ class ParseError(RegimetricsError):
         elif line is not None:
             prefix = f"line {line}: "
         super().__init__(prefix + message)
+
+
+def not_utf8(path) -> ParseError:
+    """The ParseError for a file that is not UTF-8 text, at its first bad byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        return ParseError(message, source=path, line=data.count(b"\n", 0, exc.start) + 1)
+    return ParseError("not UTF-8 text", source=path)
 
 
 class ValidationError(RegimetricsError):

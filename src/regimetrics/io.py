@@ -23,7 +23,6 @@ inputs.
 from __future__ import annotations
 
 import csv
-import io as _io
 import itertools
 import json
 import math
@@ -37,7 +36,7 @@ import numpy as np
 
 from .catalog import DescriptorCatalog
 from .engine import IndicatorSeries, RegimeComparison
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, not_utf8
 from .model import CompetencyMapping, EnterpriseModel, validate_mode
 from .synth import ProcessConfig, ScenarioConfig
 
@@ -46,6 +45,8 @@ COMPARISON_HEADER = ("t", "v_basic", "v_ddescr", "dv")
 PLOT_HEADER = ("t", "v_total")
 MAPPING_HEADER = ("competency_id", "channel_label", "flag")
 TOTAL_COLUMNS = ("total", "v_total")
+# Cells that _write_table holds as Python floats (about 30 bytes each) at once.
+_WRITE_BLOCK_CELLS = 1 << 15
 
 
 def fmt(value: float) -> str:
@@ -53,14 +54,18 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path, text: str) -> Path:
-    """Write-then-rename so concurrent readers never see partial output."""
+@contextmanager
+def _atomic_open(path):
+    """Text handle on a temporary file that replaces ``path`` when the block ends.
+
+    Write-then-rename, so concurrent readers never see partial output.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -68,7 +73,13 @@ def atomic_write_text(path, text: str) -> Path:
         except OSError:
             pass
         raise
-    return path
+
+
+def atomic_write_text(path, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
+    return Path(path)
 
 
 def _parse_float(cell: str, source, line: int, column: str) -> float:
@@ -107,11 +118,14 @@ def _read_table(path, directives=(), first_period=None):
     ``rows`` streams ``(line, t, cells)`` per data row. When the header
     starts with ``t``, ``t`` must be ``first_period`` (by default the
     first row's own value) on the first row and go up by 1 on each later
-    row, and ``cells`` are the other fields; otherwise ``t`` is None.
+    row, and ``cells`` are the other fields; otherwise ``t`` is None. A
+    byte that is not UTF-8 is an error at its own line, raised when the
+    text around it is first read.
     """
     with open(path, newline="", encoding="utf-8") as handle:
+        lines = _decoded_lines(handle, path)
         found = []
-        for header_line, raw in enumerate(handle, start=1):
+        for header_line, raw in enumerate(lines, start=1):
             text = raw.strip()
             if text.startswith("#"):
                 name, colon, value = (part.strip() for part in text[1:].partition(":"))
@@ -123,7 +137,7 @@ def _read_table(path, directives=(), first_period=None):
                 break
         else:
             raise ParseError("missing header", source=path, line=1)
-        reader = csv.reader(itertools.chain([raw], handle))
+        reader = csv.reader(itertools.chain([raw], lines))
         header = tuple(field.strip() for field in next(reader))
 
         def rows():
@@ -160,14 +174,36 @@ def _read_table(path, directives=(), first_period=None):
         yield header_line, header, found, rows()
 
 
-def _write_table(path, header, rows, directives=()) -> Path:
-    """Write ``# name: value`` directives, a header and rows atomically."""
-    buffer = _io.StringIO()
-    buffer.writelines(f"# {name}: {value}\n" for name, value in directives)
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return atomic_write_text(path, buffer.getvalue())
+def _decoded_lines(handle, path):
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def _write_table(path, header, rows=(), directives=(), periods=(), values=None) -> Path:
+    """Write ``# name: value`` directives, a header and rows atomically.
+
+    The header and ``rows`` go through ``csv``, which quotes labels as
+    needed. ``values`` is a 2-D float array written after them, one line
+    per row led by its period from ``periods``, each cell the shortest
+    round-trip repr: the bytes ``csv`` writes for ``fmt`` cells, which
+    never need quoting. Lines go to the file a block of rows at a time,
+    so no copy of the whole text is held.
+    """
+    with _atomic_open(path) as handle:
+        handle.writelines(f"# {name}: {value}\n" for name, value in directives)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        if values is not None:
+            periods = np.asarray(periods).astype(int).tolist()
+            values = np.asarray(values, dtype=float)
+            step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
+            for start in range(0, len(values), step):
+                block = zip(periods[start : start + step], values[start : start + step].tolist())
+                handle.write("".join([f"{t},{','.join(map(repr, row))}\n" for t, row in block]))
+    return Path(path)
 
 
 # --- event series ----------------------------------------------------------
@@ -179,8 +215,8 @@ def write_events(model: EnterpriseModel, path) -> Path:
     if _is_indicator_header(header):
         message = f"last channel label {header[-1]!r} is reserved for indicator outputs"
         raise ValidationError(message)
-    rows = ((t, *map(fmt, values)) for t, values in enumerate(model.events, start=1))
-    return _write_table(path, header, rows)
+    periods = range(1, model.t_max + 1)
+    return _write_table(path, header, periods=periods, values=model.events)
 
 
 def parse_events(path) -> EnterpriseModel:
@@ -204,11 +240,31 @@ def parse_events(path) -> EnterpriseModel:
         if problem:
             raise ParseError(problem, source=path, line=line)
         data: list[float] = []
-        for at, _, cells in rows:
-            data += [_parse_float(cell, path, at, label) for cell, label in zip(cells, labels)]
+        try:
+            for _, _, cells in rows:
+                data += map(float, cells)
+        except (ValueError, ParseError) as exc:
+            failure = exc
+        else:
+            failure = None
+    events = np.array(data)
+    if failure is not None or not np.isfinite(events).all():
+        _raise_first_bad_cell(path, labels, failure)
     if not data:
         raise ParseError("no data rows (t_max = 0)", source=path, line=line)
-    return EnterpriseModel(events=np.array(data).reshape(-1, len(labels)), channel_labels=labels)
+    return EnterpriseModel(events=events.reshape(-1, len(labels)), channel_labels=labels)
+
+
+def _raise_first_bad_cell(path, labels, failure):
+    # The bulk conversion keeps no cell text or line, so the first error in
+    # file order is found by reading the file again cell by cell.
+    with _read_table(path, first_period=1) as (_, _, _, rows):
+        for at, _, cells in rows:
+            for cell, label in zip(cells, labels):
+                _parse_float(cell, path, at, label)
+    if isinstance(failure, ParseError):
+        raise failure
+    raise ParseError("file changed while being read", source=path)
 
 
 # --- competency mapping ----------------------------------------------------
@@ -303,6 +359,8 @@ def parse_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", source=path, line=exc.lineno)
     if not isinstance(payload, dict):
@@ -364,8 +422,10 @@ def write_scenario(config: ScenarioConfig, path) -> Path:
 
 def write_comparison_table(path, periods, basic, treated, delta, totals=None) -> Path:
     directives = () if totals is None else [("totals", ",".join(map(fmt, totals)))]
-    rows = ((int(t), *map(fmt, values)) for t, *values in zip(periods, basic, treated, delta))
-    return _write_table(path, COMPARISON_HEADER, rows, directives)
+    values = np.column_stack((basic, treated, delta))
+    return _write_table(
+        path, COMPARISON_HEADER, directives=directives, periods=periods, values=values
+    )
 
 
 def read_comparison_table(path):
@@ -397,31 +457,45 @@ def read_comparison_table(path):
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
     header = (EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total")
-    totals = indicators.per_period_totals()
-    rows = (
-        (int(t), *map(fmt, values), fmt(total))
-        for t, values, total in zip(indicators.periods, indicators.values, totals)
-    )
-    return _write_table(path, header, rows)
+    values = np.column_stack((indicators.values, indicators.per_period_totals()))
+    return _write_table(path, header, periods=indicators.periods, values=values)
 
 
-def read_indicator_column(path) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period aggregate column of an indicator table or plot file."""
+def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-period aggregate column of an indicator table or plot file.
+
+    Given the window ``k``, the file must be an output of that window:
+    its periods start at k + 1, or at 1 with zero rows 1..k (plot data
+    written with ``pad_warmup``), and those rows are dropped.
+    """
     periods: list[int] = []
     values: list[float] = []
+    first = None
     with _read_table(path) as (line, header, _, rows):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
         for at, t, cells in rows:
-            periods.append(t)
-            values.append(_parse_float(cells[-1], path, at, header[-1]))
+            value = _parse_float(cells[-1], path, at, header[-1])
+            if first is None:
+                first = t
+            if k is not None and (first not in (1, k + 1) or (t <= k and value != 0.0)):
+                message = (
+                    f"first period {first} does not fit window {k}: an indicator output "
+                    f"starts at period {k + 1}, or at 1 with zero rows 1..{k}"
+                )
+                raise ParseError(message, source=path, line=at)
+            if k is None or t > k:
+                periods.append(t)
+                values.append(value)
+    if k is not None and not periods:
+        raise ParseError(f"no period after the warm-up 1..{k}", source=path, line=line)
     return np.array(periods, dtype=int), np.array(values)
 
 
 def write_plot_data(path, periods, aggregates) -> Path:
-    rows = ((int(t), fmt(value)) for t, value in zip(periods, aggregates))
-    return _write_table(path, PLOT_HEADER, rows)
+    values = np.asarray(aggregates)[:, None]
+    return _write_table(path, PLOT_HEADER, periods=periods, values=values)
 
 
 # --- analysis reports ------------------------------------------------------

@@ -20,9 +20,14 @@ result.
 Doubles take the top 53 bits of two consecutive 32-bit outputs:
 ``((hi << 21) | (lo >> 11)) / 2**53`` which lies in [0, 1) and is exact
 in IEEE-754 double precision.
+
+``Pcg32`` is the definition. ``symmetric_draws`` computes the same
+draws for many streams and periods at once, with numpy.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MULTIPLIER = 6364136223846793005
 _MASK64 = (1 << 64) - 1
@@ -30,6 +35,11 @@ _MASK32 = (1 << 32) - 1
 _TWO53 = float(1 << 53)
 
 SEED_MAX = _MASK64
+
+# Byte budget for the uint64 temporaries of one chunk of periods in
+# ``symmetric_draws``: about six (2, streams) arrays per period.
+_CHUNK_BYTES = 4 << 20
+_BYTES_PER_PERIOD_AND_STREAM = 6 * 2 * 8
 
 
 class Pcg32:
@@ -67,3 +77,49 @@ class Pcg32:
     def next_unit_interval_symmetric(self) -> float:
         """Next double in [-1, 1)."""
         return 2.0 * self.next_double() - 1.0
+
+
+def _chunk_periods(streams: int) -> int:
+    """Periods per chunk of ``symmetric_draws``; depends only on the stream count."""
+    return max(1, _CHUNK_BYTES // (_BYTES_PER_PERIOD_AND_STREAM * max(streams, 1)))
+
+
+def symmetric_draws(seed: int, streams: int, periods: int) -> np.ndarray:
+    """The [-1, 1) draws of streams ``0..streams-1`` for periods ``1..periods``.
+
+    Entry ``[t - 1, c]`` is bit for bit the t-th
+    ``Pcg32(seed, stream=c).next_unit_interval_symmetric()``. A period
+    takes two LCG steps, and j steps take a state s to
+    ``A**j * s + C_j * increment`` (mod 2**64), where A is the multiplier
+    and ``C_j = 1 + A + ... + A**(j-1)`` (jump-ahead, Brown 1994). One
+    table of ``A**j`` and ``C_j`` over a chunk of periods gives every
+    state of the chunk in wrapping uint64 arithmetic, and its last entry
+    advances all streams past the chunk.
+    """
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    chunk = _chunk_periods(streams)
+    steps = 2 * min(chunk, periods)
+    powers = np.full(steps + 1, _MULTIPLIER, dtype=np.uint64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)
+    sums = np.zeros(steps + 1, dtype=np.uint64)
+    np.cumsum(powers[:-1], out=sums[1:])
+    inc = np.arange(streams, dtype=np.uint64) * 2 + 1
+    # Seeding as in Pcg32: state 0, step (giving inc), add the seed, step.
+    state = (inc + np.uint64(seed)) * _MULTIPLIER + inc
+    draws = np.empty((periods, streams))
+    for start in range(0, periods, chunk):
+        count = min(chunk, periods - start)
+        old = powers[: 2 * count, None] * state
+        old += sums[: 2 * count, None] * inc
+        state = powers[2 * count] * state + sums[2 * count] * inc
+        word = old >> 18
+        word ^= old
+        word >>= 27
+        word &= _MASK32
+        rot = old >> 59
+        word = ((word >> rot) | (word << ((32 - rot) & 31))) & _MASK32
+        bits = (word[0::2] << 21) | (word[1::2] >> 11)
+        draws[start : start + count] = 2.0 * (bits / _TWO53) - 1.0
+    return draws

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import EnterpriseModel
-from .prng import SEED_MAX, Pcg32
+from .prng import SEED_MAX, symmetric_draws
 
 
 @dataclass(frozen=True)
@@ -108,24 +108,29 @@ def generate_series(config: ScenarioConfig) -> EnterpriseModel:
     the intervention period onward. The result is bit-identical across
     runs and platforms for a given config.
     """
+    periods = config.periods
+    # All draws at once, then each process's columns in place with the
+    # IEEE-754 operations of the per-value form
+    # (base + amplitude * wave) + noise_scale * draw, so every value is the
+    # one a scalar Pcg32 drawn period by period gives.
+    events = symmetric_draws(config.seed, config.n, periods)
     labels: list[str] = []
-    columns: list[np.ndarray] = []
-    stream = 0
+    first = 0
     for proc in config.processes:
-        for c in range(proc.channels):
-            rng = Pcg32(config.seed, stream=stream)
-            column = np.empty(config.periods)
-            for t in range(1, config.periods + 1):
-                value = proc.base_level + proc.amplitude * _triangle(t, proc.period_length)
-                if proc.noise_scale:
-                    value += proc.noise_scale * rng.next_unit_interval_symmetric()
-                else:
-                    rng.next_unit_interval_symmetric()  # keep streams aligned
-                column[t - 1] = value
-            labels.append(f"{proc.name}.{c + 1}")
-            columns.append(column)
-            stream += 1
-    events = _with_intervention(np.column_stack(columns), config)
+        cycle = proc.period_length
+        wave = np.array([_triangle(t, cycle) for t in range(1, min(cycle, periods) + 1)])
+        if cycle < periods:
+            wave = wave[np.arange(periods) % cycle]
+        level = float(proc.base_level) + float(proc.amplitude) * wave
+        block = events[:, first : first + proc.channels]
+        if proc.noise_scale:
+            block *= float(proc.noise_scale)
+            block += level[:, None]
+        else:
+            block[:] = level[:, None]
+        labels += [f"{proc.name}.{c + 1}" for c in range(proc.channels)]
+        first += proc.channels
+    events = _with_intervention(events, config)
     return EnterpriseModel(events=events, channel_labels=tuple(labels))
 
 

@@ -217,3 +217,75 @@ def test_compare_rejects_plot_file_with_periods_out_of_order(tmp_path, capsys):
     assert code == 1
     assert "plot.csv:3: period 3 precedes the first period 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def analyze_to(tmp_path, scenario_path, regime, window, *flags):
+    data = tmp_path / "data"
+    if not data.exists():
+        run(["generate", "--config", scenario_path, "--output-dir", data])
+    out = tmp_path / f"analyze_{regime}"
+    assert run(["analyze", "--events", data / f"events_{regime}.csv",
+                "--window", window, *flags, "--output-dir", out]) == 0
+    return out
+
+
+def test_compare_reads_padded_plot_files_from_after_the_warm_up(tmp_path, scenario_path):
+    basic = analyze_to(tmp_path, scenario_path, "baseline", "4", "--pad-warmup")
+    treated = analyze_to(tmp_path, scenario_path, "treated", "4", "--pad-warmup")
+    out = tmp_path / "cmp"
+    assert run(["compare", "--basic", basic / "plot.csv", "--treated", treated / "plot.csv",
+                "--window", "4", "--pad-warmup", "--output-dir", out]) == 0
+    for name in ("plot_basic.csv", "plot_ddescr.csv"):
+        periods, values = read_indicator_column(out / name)
+        assert periods.tolist() == list(range(1, 31))
+        assert np.array_equal(values[:4], np.zeros(4))
+    events = tmp_path / "cmp_events"
+    run(["compare", "--basic", tmp_path / "data" / "events_baseline.csv",
+         "--treated", tmp_path / "data" / "events_treated.csv",
+         "--window", "4", "--pad-warmup", "--output-dir", events])
+    for name in ("comparison.csv", "plot_basic.csv", "plot_ddescr.csv"):
+        assert (out / name).read_bytes() == (events / name).read_bytes()
+
+
+def test_compare_rejects_indicator_output_of_another_window(tmp_path, scenario_path, capsys):
+    made = analyze_to(tmp_path, scenario_path, "baseline", "12")
+    code = run(["compare", "--basic", made / "indicators.csv", "--treated", made / "indicators.csv",
+                "--window", "5", "--output-dir", tmp_path / "out"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "indicators.csv:2: first period 13 does not fit window 5" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (["1,0.0", "2,0.5", "3,1.0"], 3),  # starts at 1 but row 2 of the warm-up is not zero
+        (["2,0.0", "3,1.0"], 2),  # starts inside the warm-up
+        (["1,0.0", "2,0.0"], 1),  # nothing after the warm-up
+    ],
+)
+def test_compare_rejects_plot_file_that_fits_no_window_form(tmp_path, capsys, rows, line):
+    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", *rows])
+    code = run(["compare", "--basic", plot, "--treated", plot, "--window", "2",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert f"plot.csv:{line}: " in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, scenario_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_bytes(b"t,a\n1,1.0\n2,2.0\n3,\xff\n")
+    assert run(["analyze", "--events", events, "--output-dir", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {events}:4: not UTF-8 text: byte 0xff (invalid start byte)\n"
+    )
+    config = tmp_path / "scenario.json"
+    config.write_bytes(b'{"seed": 1,\n "periods": "\xfe"}')
+    assert run(["generate", "--config", config, "--output-dir", tmp_path / "gen"]) == 1
+    assert f"error: {config}:2: not UTF-8 text" in capsys.readouterr().err
+    assert run(["compare", "--basic", events, "--treated", events,
+                "--output-dir", tmp_path / "cmp"]) == 1
+    assert f"error: {events}:4: not UTF-8 text" in capsys.readouterr().err
+    assert run(["catalog", "--file", events]) == 1
+    assert f"error: {events}:4: not UTF-8 text" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -25,7 +27,16 @@ from regimetrics import (
     write_reference,
     write_scenario,
 )
-from regimetrics.io import is_indicator_output, read_comparison_table, read_indicator_column
+from regimetrics.engine import IndicatorSeries
+from regimetrics.io import (
+    fmt,
+    is_indicator_output,
+    read_comparison_table,
+    read_indicator_column,
+    write_comparison_table,
+    write_indicator_table,
+    write_plot_data,
+)
 
 
 def write_lines(path, lines):
@@ -92,6 +103,31 @@ def test_ragged_row_rejected(tmp_path):
     path = write_lines(tmp_path / "events.csv", ["t,a,b", "1,1.0,2.0", "2,3.0"])
     with pytest.raises(ParseError, match="expected 3 fields"):
         parse_events(path)
+
+
+@pytest.mark.parametrize(
+    "lines, line, match",
+    [
+        # the bulk conversion meets "oops" first, but "inf" comes first in the file
+        (["t,a,b", "1,1.0,2.0", "2,inf,3.0", "3,4.0,oops"], 3, "'inf' is not finite"),
+        (["t,a,b", "1,1.0,2.0", "2,1e999,3.0", "3,4.0,5.0,6.0"], 3, "'1e999' is not finite"),
+        (["t,a,b", "1,1.0,nan", "2,2.0,3.0"], 2, "column 'b': 'nan' is not finite"),
+        (["t,a,b", "1,1.0,2.0", "2,x,inf"], 3, "column 'a': 'x' is not a number"),
+    ],
+)
+def test_first_bad_cell_in_file_order_is_reported(tmp_path, lines, line, match):
+    path = write_lines(tmp_path / "events.csv", lines)
+    with pytest.raises(ParseError, match=match) as excinfo:
+        parse_events(path)
+    assert excinfo.value.line == line
+
+
+def test_non_utf8_event_file_names_the_line(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"t,a\n1,1.0\n2,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as excinfo:
+        parse_events(path)
+    assert excinfo.value.line == 3
 
 
 def test_duplicate_channel_labels_rejected(tmp_path):
@@ -383,3 +419,61 @@ def test_directive_after_header_rejected(tmp_path):
     with pytest.raises(ParseError, match="directives must precede the header") as excinfo:
         parse_events(path)
     assert excinfo.value.line == 3
+
+
+# --- numeric table writers ---------------------------------------------------
+
+EDGE_VALUES = [-0.0, 0.0, 1e16, 5e-324, 1e308, 1.0 / 3.0, -2.5e-310, 123456789.125, 0.1]
+AWKWARD_LABELS = ("plain", "a,b", 'say "hi"', "x")
+
+
+def csv_reference(header, periods, rows, directives=()):
+    # what the writers produced through csv.writer with one fmt call per cell
+    buffer = io.StringIO()
+    buffer.writelines(f"# {name}: {value}\n" for name, value in directives)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows((int(t), *map(fmt, row)) for t, row in zip(periods, rows))
+    return buffer.getvalue().encode()
+
+
+def edge_matrix(t_max, n):
+    rng = np.random.RandomState(17)
+    values = rng.randn(t_max, n) * 10.0 ** rng.randint(-300, 300, size=(t_max, n))
+    values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    return values
+
+
+def test_event_writer_bytes_match_csv_writer(tmp_path):
+    events = edge_matrix(40, 4)
+    model = EnterpriseModel(events=events, channel_labels=AWKWARD_LABELS)
+    path = write_events(model, tmp_path / "events.csv")
+    header = ("t", *AWKWARD_LABELS)
+    assert path.read_bytes() == csv_reference(header, range(1, 41), events)
+    assert path.read_bytes().startswith(b't,plain,"a,b","say ""hi""",x\n1,-0.0,0.0,1e+16,5e-324\n')
+    assert parse_events(path).events.tobytes() == events.tobytes()
+
+
+def test_indicator_and_plot_writers_bytes_match_csv_writer(tmp_path):
+    values = np.abs(edge_matrix(6, 4))
+    periods = np.arange(5, 11)
+    indicators = IndicatorSeries(
+        periods=periods, values=values, k=4, mode="raw",
+        channel_labels=AWKWARD_LABELS, total=float(values.sum()),
+    )
+    table = write_indicator_table(indicators, tmp_path / "indicators.csv")
+    rows = np.column_stack((values, indicators.per_period_totals()))
+    header = ("t", *AWKWARD_LABELS, "total")
+    assert table.read_bytes() == csv_reference(header, periods, rows)
+    aggregates = np.array(EDGE_VALUES[:6])
+    plot = write_plot_data(tmp_path / "plot.csv", periods, aggregates)
+    assert plot.read_bytes() == csv_reference(("t", "v_total"), periods, aggregates[:, None])
+
+
+def test_comparison_writer_bytes_match_csv_writer(tmp_path):
+    columns = edge_matrix(9, 3).T
+    totals = (1.0 / 3.0, -0.0, 1e308)
+    path = write_comparison_table(tmp_path / "comparison.csv", range(3, 12), *columns, totals=totals)
+    directives = [("totals", ",".join(map(fmt, totals)))]
+    header = ("t", "v_basic", "v_ddescr", "dv")
+    assert path.read_bytes() == csv_reference(header, range(3, 12), columns.T, directives)

@@ -1,5 +1,11 @@
+import hashlib
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimetrics import (
     MappedSeries,
@@ -11,7 +17,14 @@ from regimetrics import (
     generate_series,
     indicator_series,
     paired_scenarios,
+    write_scenario,
 )
+from regimetrics import prng
+from regimetrics.cli import main
+from regimetrics.prng import symmetric_draws
+from regimetrics.synth import _triangle
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def scenario(**overrides):
@@ -63,6 +76,115 @@ def test_pcg32_rejects_out_of_range_seed():
         Pcg32(-1)
     with pytest.raises(ValueError):
         Pcg32(1 << 64)
+
+
+def scalar_draws(seed, streams, periods):
+    draws = np.empty((periods, streams))
+    for c in range(streams):
+        generator = Pcg32(seed, stream=c)
+        draws[:, c] = [generator.next_unit_interval_symmetric() for _ in range(periods)]
+    return draws
+
+
+def scalar_series(config):
+    # generate_series one value at a time from the scalar Pcg32
+    columns = []
+    stream = 0
+    for proc in config.processes:
+        for c in range(proc.channels):
+            generator = Pcg32(config.seed, stream=stream)
+            column = []
+            for t in range(1, config.periods + 1):
+                value = proc.base_level + proc.amplitude * _triangle(t, proc.period_length)
+                draw = generator.next_unit_interval_symmetric()
+                if proc.noise_scale:
+                    value += proc.noise_scale * draw
+                if c == 0 and config.intervention_period is not None:
+                    if t >= config.intervention_period:
+                        value += config.intervention_cost_per_period
+                column.append(value)
+            columns.append(column)
+            stream += 1
+    return np.array(columns).T
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+seeds = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 40), st.integers(0, 30), st.integers(1, 3000))
+def test_symmetric_draws_match_scalar_pcg32(seed, streams, periods, budget):
+    # a small budget puts chunk boundaries every few periods
+    with mock.patch.object(prng, "_CHUNK_BYTES", budget):
+        draws = symmetric_draws(seed, streams, periods)
+    assert same_bits(draws, scalar_draws(seed, streams, periods))
+
+
+def test_symmetric_draws_match_scalar_pcg32_for_many_streams():
+    assert same_bits(symmetric_draws(2**64 - 1, 300, 3), scalar_draws(2**64 - 1, 300, 3))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_symmetric_draws_cross_default_chunk_boundaries(offset):
+    chunk = prng._chunk_periods(2)
+    periods = 2 * chunk + offset
+    assert same_bits(symmetric_draws(5, 2, periods), scalar_draws(5, 2, periods))
+
+
+@st.composite
+def process_configs(draw, index):
+    return ProcessConfig(
+        f"p{index}",
+        channels=draw(st.integers(1, 4)),
+        base_level=draw(st.floats(-1e6, 1e6)),
+        amplitude=draw(st.one_of(st.just(0.0), st.floats(-100, 100))),
+        period_length=draw(st.integers(1, 15)),
+        noise_scale=draw(st.one_of(st.just(0.0), st.floats(0, 1e3))),
+    )
+
+
+@st.composite
+def scenario_configs(draw):
+    periods = draw(st.integers(1, 25))
+    count = draw(st.integers(1, 4))
+    intervention = draw(st.one_of(st.none(), st.integers(1, periods)))
+    return ScenarioConfig(
+        seed=draw(seeds),
+        periods=periods,
+        processes=tuple(draw(process_configs(i)) for i in range(count)),
+        intervention_period=intervention,
+        intervention_cost_per_period=draw(st.floats(-50, 50)),
+    )
+
+
+@PROPERTY
+@given(scenario_configs(), st.integers(1, 3000))
+def test_generate_series_matches_scalar_generation(config, budget):
+    with mock.patch.object(prng, "_CHUNK_BYTES", budget):
+        generated = generate_series(config)
+        baseline, treated = paired_scenarios(config)
+    assert same_bits(generated.events, scalar_series(config))
+    assert same_bits(treated.events, generated.events)
+    assert same_bits(baseline.events, scalar_series(replace(config, intervention_period=None)))
+
+
+def test_generate_writes_pinned_files(tmp_path):
+    # digests of the files the per-value generator wrote for this scenario
+    write_scenario(scenario(), tmp_path / "scenario.json")
+    assert main(["generate", "--config", str(tmp_path / "scenario.json"),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("events_baseline.csv", "events_treated.csv")
+    }
+    assert digests == {
+        "events_baseline.csv": "f0ca1ad6276ab8e0df4789471eb64ab1017a202664e917a9d1d03e9fca6dce60",
+        "events_treated.csv": "67fa7211dc7e15cc2924996153ca4e6e58c8a065a5b9b881bd3581c086bf5b34",
+    }
 
 
 # --- generation -------------------------------------------------------------
