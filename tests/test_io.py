@@ -122,14 +122,6 @@ def test_first_bad_cell_in_file_order_is_reported(tmp_path, lines, line, match):
     assert excinfo.value.line == line
 
 
-def test_non_utf8_event_file_names_the_line(tmp_path):
-    path = tmp_path / "events.csv"
-    path.write_bytes(b"t,a\n1,1.0\n2,\xff\n")
-    with pytest.raises(ParseError, match="not UTF-8") as excinfo:
-        parse_events(path)
-    assert excinfo.value.line == 3
-
-
 def test_duplicate_channel_labels_rejected(tmp_path):
     path = write_lines(tmp_path / "events.csv", ["t,a,a", "1,1.0,2.0"])
     with pytest.raises(ParseError, match="unique"):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regimetrics import (
@@ -117,6 +117,8 @@ seeds = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 @PROPERTY
 @given(seeds, st.integers(1, 40), st.integers(0, 30), st.integers(1, 3000))
+@example(seed=0, streams=1, periods=1, budget=1)
+@example(seed=2**64 - 1, streams=3, periods=7, budget=300)
 def test_symmetric_draws_match_scalar_pcg32(seed, streams, periods, budget):
     # a small budget puts chunk boundaries every few periods
     with mock.patch.object(prng, "_CHUNK_BYTES", budget):
@@ -163,6 +165,14 @@ def scenario_configs(draw):
 
 @PROPERTY
 @given(scenario_configs(), st.integers(1, 3000))
+@example(config=scenario(seed=0, periods=1, intervention_period=1), budget=1)
+@example(
+    config=scenario(
+        seed=2**64 - 1,
+        processes=(ProcessConfig("flat", channels=3, amplitude=2.5, period_length=4),),
+    ),
+    budget=700,
+)
 def test_generate_series_matches_scalar_generation(config, budget):
     with mock.patch.object(prng, "_CHUNK_BYTES", budget):
         generated = generate_series(config)
