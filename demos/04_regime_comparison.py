@@ -12,7 +12,6 @@ intervention periods the regimes separate.
 from pathlib import Path
 
 from regimetrics import (
-    AnalysisReport,
     MappedSeries,
     ProcessConfig,
     STANDARDIZED,
@@ -56,6 +55,6 @@ print(f"\ntotals: baseline {comparison.basic_total:.3f}, "
       f"treated {comparison.treated_total:.3f}, delta {comparison.delta_total:.3f}")
 
 # The same comparison as emitted report files (table, plot data, metadata).
-report = AnalysisReport(k=k, mode=STANDARDIZED, seed=config.seed, comparison=comparison)
-for path in emit_report(report, Path(__file__).parent / "output" / "comparison"):
+destination = Path(__file__).parent / "output" / "comparison"
+for path in emit_report(destination, k, STANDARDIZED, comparison=comparison, seed=config.seed):
     print(f"wrote {path}")

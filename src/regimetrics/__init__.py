@@ -36,7 +36,6 @@ from .errors import (
     ValidationError,
 )
 from .io import (
-    AnalysisReport,
     emit_report,
     parse_events,
     parse_mapping,
@@ -71,7 +70,6 @@ from .synth import ProcessConfig, ScenarioConfig, generate_series, paired_scenar
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "BudgetError",
     "BudgetReport",
     "CompetencyMapping",

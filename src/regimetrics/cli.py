@@ -22,7 +22,6 @@ from .catalog import default_catalog, load_catalog
 from .engine import DEFAULT_WINDOW, compare_regimes, indicator_series
 from .errors import RegimetricsError
 from .io import (
-    AnalysisReport,
     emit_report,
     is_indicator_output,
     parse_events,
@@ -126,13 +125,16 @@ def _cmd_analyze(args) -> int:
     else:
         series = MappedSeries.from_model(model)
     indicators = indicator_series(series, args.window, args.mode)
-    analysis = AnalysisReport(
-        k=args.window, mode=args.mode, seed=args.seed, indicators=indicators
-    )
-    for path in emit_report(analysis, args.output_dir, pad_warmup=args.pad_warmup):
-        print(f"wrote {path}")
+    _emit(args, indicators=indicators)
     print(f"total indicator: {indicators.total!r}")
     return 0
+
+
+def _emit(args, **result) -> None:
+    # emit_report is looked up on this module, like parse_events below.
+    options = dict(seed=args.seed, pad_warmup=args.pad_warmup)
+    for path in emit_report(args.output_dir, args.window, args.mode, **options, **result):
+        print(f"wrote {path}")
 
 
 def _regime_column(path: Path, k: int, mode: str):
@@ -149,11 +151,7 @@ def _cmd_compare(args) -> int:
     basic = _regime_column(args.basic, args.window, args.mode)
     treated = _regime_column(args.treated, args.window, args.mode)
     comparison = compare_regimes(basic, treated)
-    analysis = AnalysisReport(
-        k=args.window, mode=args.mode, seed=args.seed, comparison=comparison
-    )
-    for path in emit_report(analysis, args.output_dir, pad_warmup=args.pad_warmup):
-        print(f"wrote {path}")
+    _emit(args, comparison=comparison)
     print(
         f"totals: basic {comparison.basic_total!r}, treated {comparison.treated_total!r}, "
         f"delta {comparison.delta_total!r}"

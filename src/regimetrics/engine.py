@@ -168,14 +168,12 @@ class CorrelationMatrix:
         degenerate = _frozen_array(degenerate, dtype=bool, ndim=1, name="degenerate")
         if degenerate.shape[0] != n:
             raise ValidationError("degenerate flags must match the channel count")
-        if self.mode == STANDARDIZED and n:
-            if np.abs(r).max() > 1.0 + STANDARDIZED_BOUND_TOL:
-                raise ValidationError("standardized coefficients must lie within [-1, 1]")
-            diag = np.diagonal(r)
-            if np.abs(diag[~degenerate] - 1.0).max(initial=0.0) > STANDARDIZED_BOUND_TOL:
-                raise ValidationError("nondegenerate channels must have unit self-correlation")
-            if np.abs(diag[degenerate]).max(initial=0.0) > SYMMETRY_TOL:
-                raise ValidationError("degenerate channels must have zero self-correlation")
+        if n:
+            magnitude = np.abs(r)[None]
+            labels = [str(j) for j in range(n)]
+            _check_chunk(
+                magnitude, magnitude.sum(axis=2), degenerate[None], self.mode, self.t, labels
+            )
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "degenerate", degenerate)
 
@@ -209,7 +207,7 @@ def integral_indicator(corr: CorrelationMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorSeries:
-    """Per-period indicator vectors over the evaluable range, plus total.
+    """Per-period indicator vectors over the evaluable range.
 
     Periods 1..k have no full window and are excluded; the evaluable
     range starts at k + 1.
@@ -220,7 +218,6 @@ class IndicatorSeries:
     k: int
     mode: str
     channel_labels: tuple[str, ...]
-    total: float
 
     def __post_init__(self):
         validate_mode(self.mode)
@@ -235,20 +232,18 @@ class IndicatorSeries:
         labels = tuple(str(label) for label in self.channel_labels)
         if len(labels) != values.shape[1]:
             raise ValidationError("one channel label per column required")
-        total = float(self.total)
-        recomputed = float(values.sum())
-        if abs(total - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
-            raise ValidationError(
-                f"stored total {total!r} does not match the per-period records ({recomputed!r})"
-            )
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "channel_labels", labels)
-        object.__setattr__(self, "total", total)
 
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def total(self) -> float:
+        """Sum of every indicator component over every evaluable period."""
+        return float(self.values.sum())
 
     def per_period_totals(self) -> np.ndarray:
         """Sum of indicator components per period, in fixed channel order."""
@@ -273,7 +268,6 @@ def indicator_series(
         k=k,
         mode=mode,
         channel_labels=series.channel_labels,
-        total=float(values.sum()),
     )
 
 
@@ -285,9 +279,6 @@ class RegimeComparison:
     basic: np.ndarray
     treated: np.ndarray
     delta: np.ndarray
-    basic_total: float
-    treated_total: float
-    delta_total: float
 
     def __post_init__(self):
         periods = _frozen_array(self.periods, dtype=int, ndim=1, name="periods")
@@ -297,15 +288,23 @@ class RegimeComparison:
         count = periods.shape[0]
         if not (basic.shape[0] == treated.shape[0] == delta.shape[0] == count):
             raise ValidationError("all comparison columns must have the same length")
-        expected = self.treated_total - self.basic_total
-        if abs(self.delta_total - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValidationError(
-                "total delta must equal the difference of the column totals"
-            )
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "basic", basic)
         object.__setattr__(self, "treated", treated)
         object.__setattr__(self, "delta", delta)
+
+    @property
+    def basic_total(self) -> float:
+        return float(self.basic.sum())
+
+    @property
+    def treated_total(self) -> float:
+        return float(self.treated.sum())
+
+    @property
+    def delta_total(self) -> float:
+        """Treated total minus basic total."""
+        return self.treated_total - self.basic_total
 
 
 def _as_column(regime) -> tuple[np.ndarray, np.ndarray]:
@@ -330,16 +329,11 @@ def compare_regimes(basic, treated) -> RegimeComparison:
     treated_periods, treated_values = _as_column(treated)
     if not np.array_equal(basic_periods, treated_periods):
         raise ValidationError("regimes cover different period ranges")
-    basic_total = float(basic_values.sum())
-    treated_total = float(treated_values.sum())
     return RegimeComparison(
         periods=basic_periods,
         basic=basic_values,
         treated=treated_values,
         delta=treated_values - basic_values,
-        basic_total=basic_total,
-        treated_total=treated_total,
-        delta_total=treated_total - basic_total,
     )
 
 

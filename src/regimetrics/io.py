@@ -23,21 +23,21 @@ inputs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import DescriptorCatalog
-from .engine import IndicatorSeries, RegimeComparison
+from .engine import IndicatorSeries
 from .errors import ParseError, ValidationError, not_utf8
-from .model import CompetencyMapping, EnterpriseModel, validate_mode
+from .model import CompetencyMapping, EnterpriseModel, _check_amounts, validate_mode
 from .synth import ProcessConfig, ScenarioConfig
 
 EVENT_PERIOD_COLUMN = "t"
@@ -239,29 +239,47 @@ def parse_events(path) -> EnterpriseModel:
             problem = None
         if problem:
             raise ParseError(problem, source=path, line=line)
-        data: list[float] = []
-        try:
-            for _, _, cells in rows:
-                data += map(float, cells)
-        except (ValueError, ParseError) as exc:
-            failure = exc
-        else:
-            failure = None
-    events = np.array(data)
-    if failure is not None or not np.isfinite(events).all():
-        _raise_first_bad_cell(path, labels, failure)
-    if not data:
+        _, events = _read_values(path, header, rows, dict(first_period=1))
+    if not events.size:
         raise ParseError("no data rows (t_max = 0)", source=path, line=line)
-    return EnterpriseModel(events=events.reshape(-1, len(labels)), channel_labels=labels)
+    return EnterpriseModel(events=events, channel_labels=labels)
 
 
-def _raise_first_bad_cell(path, labels, failure):
-    # The bulk conversion keeps no cell text or line, so the first error in
-    # file order is found by reading the file again cell by cell.
-    with _read_table(path, first_period=1) as (_, _, _, rows):
-        for at, _, cells in rows:
-            for cell, label in zip(cells, labels):
-                _parse_float(cell, path, at, label)
+def _read_values(path, header, rows, table) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and cells of a table whose header starts with ``t``.
+
+    Each row's cells pass through ``map(float, ...)`` into one flat array,
+    and finiteness is checked once, on that array. The pass keeps no cell
+    text or line, so on any failure the file is read again (``table``
+    holds its ``_read_table`` arguments) to report the first bad cell.
+    Returns the periods and the (rows, cells) values.
+    """
+    try:
+        first = next(rows, None)
+        rows = itertools.chain([first] if first else [], rows)
+        flat = itertools.chain.from_iterable(map(float, cells) for _, _, cells in rows)
+        values = np.fromiter(flat, dtype=float)
+    except (ValueError, ParseError) as exc:
+        _raise_first_bad_cell(path, table, exc)
+    if not np.isfinite(values).all():
+        _raise_first_bad_cell(path, table)
+    values = values.reshape(-1, len(header) - 1)
+    start = first[1] if first else 1
+    return np.arange(start, start + len(values)), values
+
+
+def _raise_first_bad_cell(path, table, failure=None, rule=None):
+    """Read the table again cell by cell and raise its first error in file order.
+
+    ``failure`` is what the bulk pass met, if anything. ``rule`` is an
+    optional ``(misfit, message)`` pair: a row for which ``misfit(t, row)``
+    holds is an error with that message.
+    """
+    with _read_table(path, **table) as (_, header, _, rows):
+        for at, t, cells in rows:
+            row = [_parse_float(cell, path, at, label) for cell, label in zip(cells, header[1:])]
+            if rule is not None and rule[0](t, row):
+                raise ParseError(rule[1], source=path, line=at)
     if isinstance(failure, ParseError):
         raise failure
     raise ParseError("file changed while being read", source=path)
@@ -290,21 +308,32 @@ def write_mapping(mapping: CompetencyMapping, channel_labels, path) -> Path:
 def parse_mapping(path, channel_labels, catalog: DescriptorCatalog | None = None) -> CompetencyMapping:
     """Read a mapping file against a known channel-label set.
 
-    When a catalog is supplied, every competency id must resolve in it.
+    When a catalog is supplied, every competency id must resolve in it;
+    an id that does not is an error at the first line naming it.
     """
     channel_labels = tuple(channel_labels)
     column_of = {label: j for j, label in enumerate(channel_labels)}
     budget: float | None = None
     costs: dict[str, float] = {}
     pairs: dict[tuple[str, str], int] = {}
+    named_at: dict[str, int] = {}  # competency id -> first line naming it
+
+    def amount(text: str, at: int, name: str) -> float:
+        value = _parse_float(text, path, at, name)
+        try:
+            _check_amounts(name, value)
+        except ValidationError as exc:
+            raise ParseError(str(exc), source=path, line=at) from None
+        return value
+
     with _read_table(path, ("budget", "cost")) as (line, header, found, rows):
         for at, name, value in found:
             if name == "budget":
                 if budget is not None:
                     raise ParseError("duplicate budget directive", source=path, line=at)
-                budget = _parse_float(value, path, at, "budget")
+                budget = amount(value, at, "budget")
                 continue
-            cid, equals, amount = (part.strip() for part in value.partition("="))
+            cid, equals, text = (part.strip() for part in value.partition("="))
             if not equals:
                 message = "cost directive must be '# cost: <id> = <number>'"
                 raise ParseError(message, source=path, line=at)
@@ -312,10 +341,10 @@ def parse_mapping(path, channel_labels, catalog: DescriptorCatalog | None = None
                 raise ParseError("cost directive has empty id", source=path, line=at)
             if cid in costs:
                 raise ParseError(f"duplicate cost for {cid!r}", source=path, line=at)
-            costs[cid] = _parse_float(amount, path, at, "cost")
+            costs[cid] = amount(text, at, "cost")
+            named_at[cid] = at
         if header != MAPPING_HEADER:
             raise ParseError(f"header must be {','.join(MAPPING_HEADER)}", source=path, line=line)
-        order = list(costs)
         for at, _, row in rows:
             cid, label, flag_text = (field.strip() for field in row)
             if label not in column_of:
@@ -325,37 +354,35 @@ def parse_mapping(path, channel_labels, catalog: DescriptorCatalog | None = None
             if (cid, label) in pairs:
                 raise ParseError(f"duplicate pair ({cid!r}, {label!r})", source=path, line=at)
             pairs[(cid, label)] = int(flag_text)
-            if cid not in order:
-                order.append(cid)
+            named_at.setdefault(cid, at)
     if budget is None:
         raise ParseError("missing '# budget:' directive", source=path, line=1)
-    flags = np.zeros((len(order), len(channel_labels)), dtype=np.int8)
+    if catalog is not None:
+        known = set(catalog.skill_ids())
+        for cid, at in named_at.items():
+            if cid not in known:
+                raise ParseError(f"competency id not in catalog: {cid}", source=path, line=at)
+    row_of = {cid: i for i, cid in enumerate(named_at)}
+    flags = np.zeros((len(row_of), len(channel_labels)), dtype=np.int8)
     for (cid, label), flag in pairs.items():
-        flags[order.index(cid), column_of[label]] = flag
-    mapping = CompetencyMapping(
+        flags[row_of[cid], column_of[label]] = flag
+    return CompetencyMapping(
         flags=flags,
-        competency_ids=tuple(order),
-        costs=np.array([costs.get(cid, 0.0) for cid in order]),
+        competency_ids=tuple(row_of),
+        costs=np.array([costs.get(cid, 0.0) for cid in row_of]),
         budget=budget,
     )
-    if catalog is not None:
-        mapping.validate_against(catalog)
-    return mapping
 
 
 # --- scenario config -------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "seed",
-    "periods",
-    "processes",
-    "intervention_period",
-    "intervention_cost_per_period",
-}
-_PROCESS_KEYS = {"name", "channels", "base_level", "amplitude", "period_length", "noise_scale"}
-
-
 def parse_scenario(path) -> ScenarioConfig:
+    """Read a scenario JSON object; its keys are the fields of ScenarioConfig.
+
+    Each process is an object whose keys are the fields of ProcessConfig.
+    Keys without a default are required, and the configs' own checks
+    (value types included) become errors naming the file.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -365,56 +392,39 @@ def parse_scenario(path) -> ScenarioConfig:
         raise ParseError(f"invalid JSON: {exc.msg}", source=path, line=exc.lineno)
     if not isinstance(payload, dict):
         raise ParseError("scenario document must be a JSON object", source=path)
-    unknown = set(payload) - _SCENARIO_KEYS
-    if unknown:
-        raise ParseError(f"unknown scenario keys: {', '.join(sorted(unknown))}", source=path)
-    for key in ("seed", "periods", "processes"):
-        if key not in payload:
-            raise ParseError(f"missing scenario key {key!r}", source=path)
-    raw_processes = payload["processes"]
-    if not isinstance(raw_processes, list):
+    problem = _key_problem(payload, ScenarioConfig)
+    if problem:
+        raise ParseError(f"scenario {problem}", source=path)
+    if not isinstance(payload["processes"], list):
         raise ParseError("'processes' must be a list", source=path)
     processes = []
-    for index, entry in enumerate(raw_processes):
-        if not isinstance(entry, dict):
-            raise ParseError(f"process #{index + 1} must be an object", source=path)
-        unknown = set(entry) - _PROCESS_KEYS
-        if unknown:
-            raise ParseError(
-                f"process #{index + 1} has unknown keys: {', '.join(sorted(unknown))}",
-                source=path,
-            )
-        if "name" not in entry:
-            raise ParseError(f"process #{index + 1} is missing 'name'", source=path)
-        processes.append(ProcessConfig(**entry))
-    return ScenarioConfig(
-        seed=payload["seed"],
-        periods=payload["periods"],
-        processes=tuple(processes),
-        intervention_period=payload.get("intervention_period"),
-        intervention_cost_per_period=payload.get("intervention_cost_per_period", 0.0),
-    )
+    try:
+        for index, entry in enumerate(payload["processes"], start=1):
+            if not isinstance(entry, dict):
+                raise ParseError(f"process #{index} must be an object", source=path)
+            problem = _key_problem(entry, ProcessConfig)
+            if problem:
+                raise ParseError(f"process #{index} {problem}", source=path)
+            processes.append(ProcessConfig(**entry))
+        return ScenarioConfig(**{**payload, "processes": tuple(processes)})
+    except ValidationError as exc:
+        raise ParseError(str(exc), source=path) from None
+
+
+def _key_problem(entry: dict, config_type) -> str | None:
+    fields = dataclasses.fields(config_type)
+    unknown = set(entry) - {field.name for field in fields}
+    if unknown:
+        return f"has unknown keys: {', '.join(sorted(unknown))}"
+    for field in fields:
+        required = field.default is dataclasses.MISSING
+        if required and field.name not in entry:
+            return f"is missing {field.name!r}"
+    return None
 
 
 def write_scenario(config: ScenarioConfig, path) -> Path:
-    payload = {
-        "seed": config.seed,
-        "periods": config.periods,
-        "processes": [
-            {
-                "name": proc.name,
-                "channels": proc.channels,
-                "base_level": proc.base_level,
-                "amplitude": proc.amplitude,
-                "period_length": proc.period_length,
-                "noise_scale": proc.noise_scale,
-            }
-            for proc in config.processes
-        ],
-        "intervention_period": config.intervention_period,
-        "intervention_cost_per_period": config.intervention_cost_per_period,
-    }
-    return atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    return atomic_write_text(path, json.dumps(dataclasses.asdict(config), indent=2) + "\n")
 
 
 # --- comparison and indicator tables ---------------------------------------
@@ -435,8 +445,6 @@ def read_comparison_table(path):
     ``# totals:`` triple or None.
     """
     totals = None
-    periods: list[int] = []
-    values: list[float] = []
     with _read_table(path, ("totals",)) as (line, header, found, rows):
         for at, _, value in found:
             if totals is not None:
@@ -448,11 +456,9 @@ def read_comparison_table(path):
         if header != COMPARISON_HEADER:
             message = f"header must be {','.join(COMPARISON_HEADER)}"
             raise ParseError(message, source=path, line=line)
-        for at, t, cells in rows:
-            periods.append(t)
-            values += [_parse_float(cell, path, at, name) for cell, name in zip(cells, header[1:])]
-    basic, treated, delta = np.array(values).reshape(-1, 3).T.copy()
-    return np.array(periods, dtype=int), basic, treated, delta, totals
+        periods, values = _read_values(path, header, rows, dict(directives=("totals",)))
+    basic, treated, delta = values.T.copy()
+    return periods, basic, treated, delta, totals
 
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
@@ -464,33 +470,34 @@ def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
 def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-period aggregate column of an indicator table or plot file.
 
-    Given the window ``k``, the file must be an output of that window:
-    its periods start at k + 1, or at 1 with zero rows 1..k (plot data
-    written with ``pad_warmup``), and those rows are dropped.
+    Every cell must be a finite number. Given the window ``k``, the file
+    must be an output of that window: its periods start at k + 1, or at
+    1 with zero rows 1..k (plot data written with ``pad_warmup``), and
+    those rows are dropped.
     """
-    periods: list[int] = []
-    values: list[float] = []
-    first = None
     with _read_table(path) as (line, header, _, rows):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
-        for at, t, cells in rows:
-            value = _parse_float(cells[-1], path, at, header[-1])
-            if first is None:
-                first = t
-            if k is not None and (first not in (1, k + 1) or (t <= k and value != 0.0)):
-                message = (
-                    f"first period {first} does not fit window {k}: an indicator output "
-                    f"starts at period {k + 1}, or at 1 with zero rows 1..{k}"
-                )
-                raise ParseError(message, source=path, line=at)
-            if k is None or t > k:
-                periods.append(t)
-                values.append(value)
-    if k is not None and not periods:
+        periods, values = _read_values(path, header, rows, {})
+    if k is None:
+        return periods, values[:, -1].copy()
+    first = periods[0] if periods.size else k + 1
+
+    def misfit(t, row):
+        # Written with | and &, so it holds for one row and for every row at once.
+        return (first not in (1, k + 1)) | ((t <= k) & (row[-1] != 0.0))
+
+    if misfit(periods, values.T).any():
+        message = (
+            f"first period {first} does not fit window {k}: an indicator output "
+            f"starts at period {k + 1}, or at 1 with zero rows 1..{k}"
+        )
+        _raise_first_bad_cell(path, {}, rule=(misfit, message))
+    keep = periods > k
+    if not keep.any():
         raise ParseError(f"no period after the warm-up 1..{k}", source=path, line=line)
-    return np.array(periods, dtype=int), np.array(values)
+    return periods[keep], values[keep, -1]
 
 
 def write_plot_data(path, periods, aggregates) -> Path:
@@ -501,72 +508,45 @@ def write_plot_data(path, periods, aggregates) -> Path:
 # --- analysis reports ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """One analysis run, ready for emission.
+def emit_report(
+    destination, k: int, mode: str, *, indicators=None, comparison=None, seed=None, pad_warmup=False
+) -> list[Path]:
+    """Write the table, plot data and metadata files of one analysis run.
 
-    Carries the window length, normalization mode, and seed (when the
-    events are synthetic), plus per-period indicator records and/or a
-    regime comparison.
+    The run has a window length ``k``, a normalization ``mode``, a
+    ``seed`` when the events are synthetic, and exactly one result:
+    ``comparison`` (a RegimeComparison) or ``indicators`` (an
+    IndicatorSeries). A comparison emits ``comparison.csv`` plus one plot
+    file per regime, indicators emit ``indicators.csv`` plus ``plot.csv``,
+    and ``metadata.json`` always comes last. With ``pad_warmup`` the plot
+    files gain zero rows for the warm-up periods 1..k (flagged in the
+    metadata) so external plots align with the raw period axis.
     """
-
-    k: int
-    mode: str
-    seed: int | None = None
-    indicators: IndicatorSeries | None = None
-    comparison: RegimeComparison | None = None
-
-    def __post_init__(self):
-        validate_mode(self.mode)
-        if self.k < 2:
-            raise ValidationError(f"window length must be at least 2, got {self.k}")
-        if self.indicators is None and self.comparison is None:
-            raise ValidationError("report needs indicator records or a comparison")
-
-
-def emit_report(report: AnalysisReport, destination, pad_warmup: bool = False) -> list[Path]:
-    """Write the report's table, plot data and metadata files.
-
-    Emits ``comparison.csv`` plus one plot file per regime when a
-    comparison exists, else ``indicators.csv`` plus ``plot.csv``; always
-    ends with ``metadata.json``. With ``pad_warmup`` the plot files gain
-    zero rows for the warm-up periods 1..k (flagged in the metadata) so
-    external plots align with the raw period axis.
-    """
+    validate_mode(mode)
+    if k < 2:
+        raise ValidationError(f"window length must be at least 2, got {k}")
+    if (indicators is None) == (comparison is None):
+        raise ValidationError("report needs exactly one of indicator records or a comparison")
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
-    comparison, indicators = report.comparison, report.indicators
     periods = (indicators if comparison is None else comparison).periods
     if periods.size == 0:
         raise ValidationError("refusing to emit a report with no evaluable periods")
     if comparison is not None:
         totals = (comparison.basic_total, comparison.treated_total, comparison.delta_total)
-        table = write_comparison_table(
-            destination / "comparison.csv",
-            periods,
-            comparison.basic,
-            comparison.treated,
-            comparison.delta,
-            totals=totals,
-        )
+        columns = (comparison.basic, comparison.treated, comparison.delta)
+        table = destination / "comparison.csv"
+        write_comparison_table(table, periods, *columns, totals=totals)
         plots = {"plot_basic.csv": comparison.basic, "plot_ddescr.csv": comparison.treated}
     else:
         table = write_indicator_table(indicators, destination / "indicators.csv")
         plots = {"plot.csv": indicators.per_period_totals()}
     if pad_warmup:
-        periods = np.concatenate([np.arange(1, report.k + 1), periods])
-        plots = {name: np.concatenate([np.zeros(report.k), v]) for name, v in plots.items()}
+        periods = np.concatenate([np.arange(1, k + 1), periods])
+        plots = {name: np.concatenate([np.zeros(k), v]) for name, v in plots.items()}
     written = [table]
     written += [write_plot_data(destination / name, periods, v) for name, v in plots.items()]
-    metadata = {
-        "k": report.k,
-        "mode": report.mode,
-        "seed": report.seed,
-        "pad_warmup": bool(pad_warmup),
-    }
-    written.append(
-        atomic_write_text(
-            destination / "metadata.json", json.dumps(metadata, indent=2, sort_keys=True) + "\n"
-        )
-    )
+    metadata = {"k": k, "mode": mode, "seed": seed, "pad_warmup": bool(pad_warmup)}
+    text = json.dumps(metadata, indent=2, sort_keys=True) + "\n"
+    written.append(atomic_write_text(destination / "metadata.json", text))
     return written

@@ -35,6 +35,29 @@ def _frozen_array(values, dtype=float, ndim: int | None = None, name: str = "arr
     return arr
 
 
+def _labelled_matrix(values, labels, name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A frozen, finite, at least 1x1 matrix and one unique label per column."""
+    values = _frozen_array(values, ndim=2, name=name)
+    t_max, n = values.shape
+    if t_max < 1 or n < 1:
+        raise ValidationError(f"{name} must be at least 1x1, got {t_max}x{n}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} must contain only finite values")
+    labels = tuple(str(label) for label in labels)
+    if len(labels) != n:
+        raise ValidationError(f"expected {n} channel labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise ValidationError("channel labels must be unique")
+    return values, labels
+
+
+def _check_amounts(name: str, amounts) -> None:
+    """Costs and budgets are finite, non-negative amounts (thousand rubles)."""
+    amounts = np.asarray(amounts, dtype=float)
+    if not np.all(np.isfinite(amounts)) or np.any(amounts < 0):
+        raise ValidationError(f"{name} must be finite and non-negative")
+
+
 def validate_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -49,17 +72,7 @@ class EnterpriseModel:
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
-        events = _frozen_array(self.events, ndim=2, name="events")
-        t_max, n = events.shape
-        if t_max < 1 or n < 1:
-            raise ValidationError(f"events must be at least 1x1, got {t_max}x{n}")
-        if not np.all(np.isfinite(events)):
-            raise ValidationError("events must contain only finite values")
-        labels = tuple(str(label) for label in self.channel_labels)
-        if len(labels) != n:
-            raise ValidationError(f"expected {n} channel labels, got {len(labels)}")
-        if len(set(labels)) != n:
-            raise ValidationError("channel labels must be unique")
+        events, labels = _labelled_matrix(self.events, self.channel_labels, "events")
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "channel_labels", labels)
 
@@ -101,11 +114,9 @@ class CompetencyMapping:
         costs = _frozen_array(self.costs, ndim=1, name="costs")
         if costs.shape[0] != m:
             raise ValidationError(f"expected {m} costs, got {costs.shape[0]}")
-        if not np.all(np.isfinite(costs)) or np.any(costs < 0):
-            raise ValidationError("costs must be finite and non-negative")
+        _check_amounts("costs", costs)
         budget = float(self.budget)
-        if not np.isfinite(budget) or budget < 0:
-            raise ValidationError("budget must be finite and non-negative")
+        _check_amounts("budget", budget)
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "competency_ids", ids)
         object.__setattr__(self, "costs", costs)
@@ -174,19 +185,9 @@ class MappedSeries:
     masked_channels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        values = _frozen_array(self.values, ndim=2, name="values")
-        t_max, n = values.shape
-        if t_max < 1 or n < 1:
-            raise ValidationError(f"values must be at least 1x1, got {t_max}x{n}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("values must contain only finite values")
-        labels = tuple(str(label) for label in self.channel_labels)
-        if len(labels) != n:
-            raise ValidationError(f"expected {n} channel labels, got {len(labels)}")
-        if len(set(labels)) != n:
-            raise ValidationError("channel labels must be unique")
+        values, labels = _labelled_matrix(self.values, self.channel_labels, "values")
         masked = tuple(int(j) for j in self.masked_channels)
-        if any(j < 0 or j >= n for j in masked):
+        if any(j < 0 or j >= len(labels) for j in masked):
             raise ValidationError("masked channel index out of range")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "channel_labels", labels)

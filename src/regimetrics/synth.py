@@ -16,13 +16,39 @@ reproduces bit-for-bit across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import EnterpriseModel
 from .prng import SEED_MAX, symmetric_draws
+
+
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": (numbers.Real, "a finite number"),
+}
+
+
+def _check_field_types(config, owner: str) -> None:
+    """Check each str, int and float field (``X | None`` admits None) against its annotation.
+
+    A bool is none of these, and a float field must lie in the float range,
+    which excludes nan, the infinities and ints that no float can hold.
+    """
+    for field in fields(config):
+        kind, _, optional = field.type.partition(" | ")
+        value = getattr(config, field.name)
+        if kind in _FIELD_TYPES and not (optional and value is None):
+            wanted, noun = _FIELD_TYPES[kind]
+            if not isinstance(value, wanted) or isinstance(value, bool) or (
+                kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max
+            ):
+                raise ValidationError(f"{owner} {field.name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,17 +68,15 @@ class ProcessConfig:
     noise_scale: float = 0.0
 
     def __post_init__(self):
+        _check_field_types(self, "process")
         if not self.name:
             raise ValidationError("process name must be non-empty")
         if self.channels < 1:
             raise ValidationError(f"process {self.name!r} needs at least 1 channel")
         if self.period_length < 1:
             raise ValidationError(f"process {self.name!r} needs period_length >= 1")
-        if not self.noise_scale >= 0:
+        if self.noise_scale < 0:
             raise ValidationError(f"process {self.name!r} needs noise_scale >= 0")
-        for attr in ("base_level", "amplitude", "noise_scale"):
-            if not np.isfinite(getattr(self, attr)):
-                raise ValidationError(f"process {self.name!r} has non-finite {attr}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +90,7 @@ class ScenarioConfig:
     intervention_cost_per_period: float = 0.0
 
     def __post_init__(self):
+        _check_field_types(self, "scenario")
         if not 0 <= self.seed <= SEED_MAX:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if self.periods < 1:
@@ -83,8 +108,6 @@ class ScenarioConfig:
                 f"intervention_period must lie in 1..{self.periods}, "
                 f"got {self.intervention_period}"
             )
-        if not np.isfinite(self.intervention_cost_per_period):
-            raise ValidationError("intervention_cost_per_period must be finite")
         object.__setattr__(self, "processes", processes)
 
     @property

@@ -289,3 +289,85 @@ def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, scenario_path, cap
     assert f"error: {events}:4: not UTF-8 text" in capsys.readouterr().err
     assert run(["catalog", "--file", events]) == 1
     assert f"error: {events}:4: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "process, key, value, message",
+    [
+        (None, "periods", True, "scenario periods must be an integer, got True"),
+        (None, "periods", 2.5, "scenario periods must be an integer, got 2.5"),
+        (None, "seed", "1", "scenario seed must be an integer, got '1'"),
+        (0, "channels", "2", "process channels must be an integer, got '2'"),
+        (0, "noise_scale", "1", "process noise_scale must be a finite number, got '1'"),
+        (None, "intervention_period", 3.5,
+         "scenario intervention_period must be an integer, got 3.5"),
+        (None, "seed", 1.5, "scenario seed must be an integer, got 1.5"),
+        (1, "name", 5, "process name must be a string, got 5"),
+    ],
+    ids=["periods-true", "periods-2.5", "seed-text", "channels-text", "noise-text",
+         "intervention-3.5", "seed-1.5", "name-5"],
+)
+def test_generate_rejects_scenario_values_of_the_wrong_type(
+    tmp_path, capsys, process, key, value, message
+):
+    document = json.loads(json.dumps(SCENARIO))
+    (document if process is None else document["processes"][process])[key] = value
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(document))
+    assert run(["generate", "--config", config, "--output-dir", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "directives, rows, line, message",
+    [
+        (["# budget: -1"], ["1.1,logging.1,1"], 1, "budget must be finite and non-negative"),
+        (["# budget: 10", "# cost: 1.1 = -5"], ["1.1,logging.1,1"], 2,
+         "cost must be finite and non-negative"),
+        (["# budget: 10"], ["1.1,logging.1,1", "9.9,logging.2,0", "9.9,production.1,1"], 4,
+         "competency id not in catalog: 9.9"),
+    ],
+    ids=["negative-budget", "negative-cost", "unknown-id"],
+)
+def test_mapping_value_errors_name_the_file_and_line(
+    tmp_path, scenario_path, capsys, directives, rows, line, message
+):
+    data = tmp_path / "data"
+    run(["generate", "--config", scenario_path, "--output-dir", data])
+    mapping = write_plot(tmp_path / "mapping.csv",
+                         [*directives, "competency_id,channel_label,flag", *rows])
+    code = run(["analyze", "--events", data / "events_treated.csv", "--mapping", mapping,
+                "--window", "5", "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {mapping}:{line}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cell, problem",
+    [("oops", "'oops' is not a number"), ("inf", "'inf' is not finite"),
+     ("", "'' is not a number")],
+    ids=["oops", "inf", "empty"],
+)
+def test_indicator_output_cells_must_be_finite_numbers(
+    tmp_path, scenario_path, capsys, cell, problem
+):
+    table = analyze_to(tmp_path, scenario_path, "baseline", "2") / "indicators.csv"
+    lines = table.read_text().splitlines()
+    assert lines[0].split(",")[2] == "logging.2"
+    row = lines[3].split(",")
+    row[2] = cell
+    lines[3] = ",".join(row)
+    table.write_text("\n".join(lines) + "\n")
+    expected = f"{table}:4: column 'logging.2': {problem}"
+    for k in (None, 2):
+        with pytest.raises(ParseError) as excinfo:
+            read_indicator_column(table, k)
+        assert str(excinfo.value) == expected
+    capsys.readouterr()
+    code = run(["compare", "--basic", table, "--treated", table, "--window", "2",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from regimetrics import (
-    AnalysisReport,
     CompetencyMapping,
     EnterpriseModel,
     ParseError,
@@ -201,8 +201,9 @@ def test_mapping_unknown_competency_vs_catalog(tmp_path):
         tmp_path / "mapping.csv",
         ["# budget: 1", "competency_id,channel_label,flag", "8.8,a,1"],
     )
-    with pytest.raises(ValidationError, match="8.8"):
+    with pytest.raises(ParseError, match="8.8") as excinfo:
         parse_mapping(path, ("a",), catalog=default_catalog())
+    assert excinfo.value.line == 3
 
 
 # --- scenario config --------------------------------------------------------
@@ -221,6 +222,29 @@ def test_scenario_round_trip(tmp_path):
     )
     path = write_scenario(config, tmp_path / "scenario.json")
     assert parse_scenario(path) == config
+
+
+def test_write_scenario_pinned_bytes(tmp_path):
+    # SHA-256 of what the field-by-field writer produced: an int base_level
+    # stays an int, no intervention is null and a negative cost is kept.
+    config = ScenarioConfig(
+        seed=2**64 - 1,
+        periods=48,
+        processes=(
+            ProcessConfig("felling", channels=3, base_level=250, amplitude=12.5,
+                          period_length=12, noise_scale=0.0),
+            ProcessConfig('rafting "north"', base_level=-1e-300, amplitude=0.1, noise_scale=7),
+        ),
+        intervention_period=None,
+        intervention_cost_per_period=-2.5,
+    )
+    data = write_scenario(config, tmp_path / "scenario.json").read_bytes()
+    assert b'"base_level": 250,' in data
+    assert b'"intervention_period": null,' in data
+    assert hashlib.sha256(data).hexdigest() == (
+        "41894ffe990605fb242bbeb5538798db7ba26151e3096d9e90617e84fccee6cf"
+    )
+    assert parse_scenario(tmp_path / "scenario.json") == config
 
 
 def test_scenario_unknown_key_rejected(tmp_path):
@@ -250,12 +274,12 @@ def test_scenario_missing_key_rejected(tmp_path):
 def indicator_report(make_series, seed=3, t_max=12, n=3, k=4):
     series = make_series(seed, t_max, n)
     indicators = indicator_series(series, k)
-    return AnalysisReport(k=k, mode="raw", seed=seed, indicators=indicators), indicators
+    return dict(k=k, mode="raw", seed=seed, indicators=indicators), indicators
 
 
 def test_emit_single_run_report(tmp_path, make_series):
     report, indicators = indicator_report(make_series)
-    written = emit_report(report, tmp_path / "out")
+    written = emit_report(tmp_path / "out", **report)
     names = [path.name for path in written]
     assert names == ["indicators.csv", "plot.csv", "metadata.json"]
     periods, totals = read_indicator_column(tmp_path / "out" / "indicators.csv")
@@ -271,8 +295,7 @@ def test_emit_comparison_report(tmp_path, make_series):
     ind_a = indicator_series(make_series(1, 12, 3), 4)
     ind_b = indicator_series(make_series(2, 12, 3), 4)
     comparison = compare_regimes(ind_a, ind_b)
-    report = AnalysisReport(k=4, mode="raw", comparison=comparison)
-    written = emit_report(report, tmp_path / "out")
+    written = emit_report(tmp_path / "out", 4, "raw", comparison=comparison)
     names = [path.name for path in written]
     assert names == ["comparison.csv", "plot_basic.csv", "plot_ddescr.csv", "metadata.json"]
     periods, basic, treated, delta, totals = read_comparison_table(
@@ -297,16 +320,14 @@ def test_emitted_reference_reparses_identically(tmp_path):
 
 def test_emit_refuses_empty_evaluable_range(tmp_path):
     comparison = compare_regimes(([], []), ([], []))
-    report = AnalysisReport(k=4, mode="raw", comparison=comparison)
     with pytest.raises(ValidationError, match="no evaluable periods"):
-        emit_report(report, tmp_path / "out")
+        emit_report(tmp_path / "out", 4, "raw", comparison=comparison)
 
 
 def test_emit_single_period_report(tmp_path, make_series):
     series = make_series(4, 5, 2)
     indicators = indicator_series(series, 4)  # exactly one evaluable period
-    report = AnalysisReport(k=4, mode="raw", indicators=indicators)
-    emit_report(report, tmp_path / "out")
+    emit_report(tmp_path / "out", 4, "raw", indicators=indicators)
     lines = (tmp_path / "out" / "indicators.csv").read_text().splitlines()
     assert len(lines) == 2  # header + one data row
     assert (tmp_path / "out" / "metadata.json").exists()
@@ -314,8 +335,8 @@ def test_emit_single_period_report(tmp_path, make_series):
 
 def test_emission_is_byte_identical(tmp_path, make_series):
     report, _ = indicator_report(make_series)
-    emit_report(report, tmp_path / "first")
-    emit_report(report, tmp_path / "second")
+    emit_report(tmp_path / "first", **report)
+    emit_report(tmp_path / "second", **report)
     for name in ("indicators.csv", "plot.csv", "metadata.json"):
         assert (tmp_path / "first" / name).read_bytes() == (
             tmp_path / "second" / name
@@ -324,7 +345,7 @@ def test_emission_is_byte_identical(tmp_path, make_series):
 
 def test_pad_warmup_plot_rows(tmp_path, make_series):
     report, indicators = indicator_report(make_series, k=4)
-    emit_report(report, tmp_path / "out", pad_warmup=True)
+    emit_report(tmp_path / "out", **report, pad_warmup=True)
     periods, totals = read_indicator_column(tmp_path / "out" / "plot.csv")
     assert periods.tolist() == list(range(1, 13))
     assert np.array_equal(totals[:4], np.zeros(4))
@@ -333,17 +354,17 @@ def test_pad_warmup_plot_rows(tmp_path, make_series):
     assert metadata["pad_warmup"] is True
 
 
-def test_report_requires_some_content():
+def test_report_requires_some_content(tmp_path):
     with pytest.raises(ValidationError):
-        AnalysisReport(k=4, mode="raw")
+        emit_report(tmp_path / "out", 4, "raw")
 
 
 def test_atomic_write_replaces_existing(tmp_path, make_series):
     report, _ = indicator_report(make_series)
     target = tmp_path / "out"
-    emit_report(report, target)
+    emit_report(target, **report)
     before = (target / "indicators.csv").read_bytes()
-    emit_report(report, target)
+    emit_report(target, **report)
     assert (target / "indicators.csv").read_bytes() == before
     assert not list(target.glob("*.tmp"))
 
@@ -451,7 +472,7 @@ def test_indicator_and_plot_writers_bytes_match_csv_writer(tmp_path):
     periods = np.arange(5, 11)
     indicators = IndicatorSeries(
         periods=periods, values=values, k=4, mode="raw",
-        channel_labels=AWKWARD_LABELS, total=float(values.sum()),
+        channel_labels=AWKWARD_LABELS,
     )
     table = write_indicator_table(indicators, tmp_path / "indicators.csv")
     rows = np.column_stack((values, indicators.per_period_totals()))
