@@ -58,12 +58,10 @@ from .model import (
 from .prng import Pcg32
 from .reference import (
     ReferenceCheck,
-    ReferenceTable,
     VerificationReport,
     load_reference,
-    read_reference,
+    verify_bundled_reference,
     verify_reference,
-    write_reference,
 )
 from .synth import ProcessConfig, ScenarioConfig, generate_series, paired_scenarios
 
@@ -88,7 +86,6 @@ __all__ = [
     "ProcessConfig",
     "RAW",
     "ReferenceCheck",
-    "ReferenceTable",
     "RegimeComparison",
     "RegimetricsError",
     "STANDARDIZED",
@@ -110,13 +107,12 @@ __all__ = [
     "parse_events",
     "parse_mapping",
     "parse_scenario",
-    "read_reference",
     "save_catalog",
+    "verify_bundled_reference",
     "verify_reference",
     "window_correlation",
     "write_events",
     "write_mapping",
-    "write_reference",
     "write_scenario",
     "__version__",
 ]

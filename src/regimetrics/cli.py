@@ -6,10 +6,15 @@ Subcommands:
 * ``generate``         scenario config -> paired baseline/treated event files
 * ``analyze``          event file (+ optional mapping) -> indicator report
 * ``compare``          two event files or indicator outputs -> delta report
-* ``verify-reference`` audit the bundled reference table's arithmetic
+* ``verify-reference`` audit a comparison table's arithmetic: the bundled
+  reference table, or with ``--file`` any comparison table, such as the
+  ``comparison.csv`` that ``compare`` writes
 
-Every command exits 0 on success and nonzero with a diagnostic on any
-error; ``verify-reference`` exits nonzero if any check fails.
+A table whose every cell and total is a whole number of cents is audited
+as a 2-decimal printing (0.02 slack per row, 0.3 per column sum, total
+delta in cents); any other table must add up exactly. Every command exits
+0 on success and nonzero with a diagnostic on any error;
+``verify-reference`` exits nonzero if any check fails.
 """
 
 from __future__ import annotations
@@ -20,18 +25,19 @@ from pathlib import Path
 
 from .catalog import default_catalog, load_catalog
 from .engine import DEFAULT_WINDOW, compare_regimes, indicator_series
-from .errors import RegimetricsError
+from .errors import InsufficientHistoryError, RegimetricsError, ValidationError
 from .io import (
     emit_report,
     is_indicator_output,
     parse_events,
     parse_mapping,
     parse_scenario,
+    read_comparison_table,
     read_indicator_column,
     write_events,
 )
 from .model import MODES, RAW, MappedSeries, apply_mapping, check_budget
-from .reference import load_reference, read_reference, verify_reference
+from .reference import verify_bundled_reference, verify_reference
 from .synth import paired_scenarios
 
 
@@ -79,9 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--output-dir", type=Path, required=True)
 
     p_verify = sub.add_parser(
-        "verify-reference", help="audit the bundled reference table's arithmetic"
+        "verify-reference",
+        help="audit a comparison table's arithmetic (bundled or any --file)",
+        description="Check a comparison table's row deltas, column sums and total delta. A "
+        "table whose every cell and total is a whole number of cents is a 2-decimal printing "
+        "(slack 0.02 per row and 0.3 per column sum, total delta in cents); any other table "
+        "must add up exactly.",
     )
-    p_verify.add_argument("--file", type=Path, help="reference table (default: bundled)")
+    p_verify.add_argument(
+        "--file", type=Path, help="any comparison table, e.g. compare's comparison.csv "
+        "(default: the bundled reference table, with its 57-period and cost-identity checks)"
+    )
 
     return parser
 
@@ -143,14 +157,20 @@ def _regime_column(path: Path, k: int, mode: str):
     if is_indicator_output(path):
         return read_indicator_column(path, k)
     model = parse_events(path)
-    indicators = indicator_series(MappedSeries.from_model(model), k, mode)
+    try:
+        indicators = indicator_series(MappedSeries.from_model(model), k, mode)
+    except InsufficientHistoryError as exc:
+        raise InsufficientHistoryError(f"{path}: {exc}") from None
     return indicators.periods, indicators.per_period_totals()
 
 
 def _cmd_compare(args) -> int:
     basic = _regime_column(args.basic, args.window, args.mode)
     treated = _regime_column(args.treated, args.window, args.mode)
-    comparison = compare_regimes(basic, treated)
+    try:
+        comparison = compare_regimes(basic, treated)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.basic} vs {args.treated}: {exc}") from None
     _emit(args, comparison=comparison)
     print(
         f"totals: basic {comparison.basic_total!r}, treated {comparison.treated_total!r}, "
@@ -160,8 +180,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify_reference(args) -> int:
-    table = read_reference(args.file) if args.file else load_reference()
-    report = verify_reference(table)
+    if args.file:
+        try:
+            report = verify_reference(*read_comparison_table(args.file))
+        except ValidationError as exc:
+            raise ValidationError(f"{args.file}: {exc}") from None
+    else:
+        report = verify_bundled_reference()
     for check in report:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.check_id}: {check.detail}")

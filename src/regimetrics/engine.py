@@ -318,6 +318,10 @@ def _as_column(regime) -> tuple[np.ndarray, np.ndarray]:
     return periods, values
 
 
+def _span(periods: np.ndarray) -> str:
+    return f"{periods[0]}..{periods[-1]}" if periods.size else "no periods"
+
+
 def compare_regimes(basic, treated) -> RegimeComparison:
     """Per-period and total indicator difference, treated minus basic.
 
@@ -328,7 +332,10 @@ def compare_regimes(basic, treated) -> RegimeComparison:
     basic_periods, basic_values = _as_column(basic)
     treated_periods, treated_values = _as_column(treated)
     if not np.array_equal(basic_periods, treated_periods):
-        raise ValidationError("regimes cover different period ranges")
+        raise ValidationError(
+            "regimes cover different period ranges: "
+            f"basic {_span(basic_periods)}, treated {_span(treated_periods)}"
+        )
     return RegimeComparison(
         periods=basic_periods,
         basic=basic_values,

@@ -35,9 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import DescriptorCatalog
-from .engine import IndicatorSeries
+from .engine import IndicatorSeries, RegimeComparison
 from .errors import ParseError, ValidationError, not_utf8
-from .model import CompetencyMapping, EnterpriseModel, _check_amounts, validate_mode
+from .model import (
+    CompetencyMapping,
+    EnterpriseModel,
+    _check_amounts,
+    _check_window_length,
+    validate_mode,
+)
 from .synth import ProcessConfig, ScenarioConfig
 
 EVENT_PERIOD_COLUMN = "t"
@@ -430,20 +436,17 @@ def write_scenario(config: ScenarioConfig, path) -> Path:
 # --- comparison and indicator tables ---------------------------------------
 
 
-def write_comparison_table(path, periods, basic, treated, delta, totals=None) -> Path:
+def write_comparison_table(path, comparison: RegimeComparison, totals=None) -> Path:
+    """Write a comparison and, when given, its ``# totals:`` triple."""
     directives = () if totals is None else [("totals", ",".join(map(fmt, totals)))]
-    values = np.column_stack((basic, treated, delta))
+    values = np.column_stack((comparison.basic, comparison.treated, comparison.delta))
     return _write_table(
-        path, COMPARISON_HEADER, directives=directives, periods=periods, values=values
+        path, COMPARISON_HEADER, directives=directives, periods=comparison.periods, values=values
     )
 
 
-def read_comparison_table(path):
-    """Parse a comparison table.
-
-    Returns (periods, v_basic, v_ddescr, dv, totals) where totals is the
-    ``# totals:`` triple or None.
-    """
+def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, float] | None]:
+    """Parse a comparison table into a RegimeComparison and its ``# totals:`` triple or None."""
     totals = None
     with _read_table(path, ("totals",)) as (line, header, found, rows):
         for at, _, value in found:
@@ -457,8 +460,7 @@ def read_comparison_table(path):
             message = f"header must be {','.join(COMPARISON_HEADER)}"
             raise ParseError(message, source=path, line=line)
         periods, values = _read_values(path, header, rows, dict(directives=("totals",)))
-    basic, treated, delta = values.T.copy()
-    return periods, basic, treated, delta, totals
+    return RegimeComparison(periods, *values.T), totals
 
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
@@ -523,8 +525,7 @@ def emit_report(
     metadata) so external plots align with the raw period axis.
     """
     validate_mode(mode)
-    if k < 2:
-        raise ValidationError(f"window length must be at least 2, got {k}")
+    _check_window_length(k)
     if (indicators is None) == (comparison is None):
         raise ValidationError("report needs exactly one of indicator records or a comparison")
     destination = Path(destination)
@@ -534,9 +535,7 @@ def emit_report(
         raise ValidationError("refusing to emit a report with no evaluable periods")
     if comparison is not None:
         totals = (comparison.basic_total, comparison.treated_total, comparison.delta_total)
-        columns = (comparison.basic, comparison.treated, comparison.delta)
-        table = destination / "comparison.csv"
-        write_comparison_table(table, periods, *columns, totals=totals)
+        table = write_comparison_table(destination / "comparison.csv", comparison, totals)
         plots = {"plot_basic.csv": comparison.basic, "plot_ddescr.csv": comparison.treated}
     else:
         table = write_indicator_table(indicators, destination / "indicators.csv")

@@ -5,7 +5,8 @@ event matrix of financial expense/income values (thousand rubles), one
 column per event channel. A competency mapping is a binary matrix saying
 which channels evidence which catalog competencies; applying it masks the
 channels no competency covers. A window is the k periods preceding a
-given period; ``_check_window_bounds`` decides which periods have one.
+given period; ``_check_window_length`` decides which window lengths are
+valid and ``_check_window_bounds`` which periods have a window.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DescriptorCatalog
 from .errors import (
     BudgetError,
     InsufficientHistoryError,
@@ -138,15 +138,6 @@ class CompetencyMapping:
         """Boolean mask over competencies: flag at least one channel."""
         return self.flags.any(axis=1)
 
-    def validate_against(self, catalog: DescriptorCatalog) -> None:
-        """Check that every competency id resolves in the catalog."""
-        known = set(catalog.skill_ids())
-        unknown = [c for c in self.competency_ids if c not in known]
-        if unknown:
-            raise ValidationError(
-                f"competency ids not in catalog: {', '.join(sorted(unknown))}"
-            )
-
 
 @dataclass(frozen=True)
 class BudgetReport:
@@ -238,11 +229,15 @@ def apply_mapping(source, mapping: CompetencyMapping) -> MappedSeries:
     return MappedSeries(values=out, channel_labels=labels, masked_channels=masked)
 
 
-def _check_window_bounds(t_max: int, t: int, k: int) -> None:
+def _check_window_length(k: int) -> None:
     if k < 2:
         raise InvalidWindowError(
             f"window length must be at least 2 (the coefficient divisor is k-1), got {k}"
         )
+
+
+def _check_window_bounds(t_max: int, t: int, k: int) -> None:
+    _check_window_length(k)
     if t <= k:
         raise InsufficientHistoryError(
             f"period {t} has only {max(t - 1, 0)} preceding periods, window needs {k}"

@@ -1,32 +1,37 @@
-"""Bundled regime-comparison reference table and its arithmetic checks.
+"""Arithmetic audit of comparison tables, and the bundled reference table.
+
+A comparison table (``t,v_basic,v_ddescr,dv`` rows and a ``# totals:``
+directive) is a RegimeComparison plus its totals triple, whether
+``compare`` wrote it or it is the bundled paper fixture.
+``verify_reference`` checks any such table's own arithmetic: per-row
+deltas, column sums against the totals, and the total delta. The slack
+comes from the table itself. A table whose every cell and total is a
+whole number of cents is a 2-decimal printing: each row delta may be
+off by 0.02, each column sum by 0.3, and the total delta is checked in
+cents. Any other table is full precision and gets zero slack: every
+check must hold exactly in floating point, as it does for the files
+``compare`` writes.
 
 The package ships a 57-period table of indicator totals for a baseline
-operating regime versus a descriptor-controlled one, together with the
-printed column totals. The table is a published-results fixture: its
-source events are not available, so nothing recomputes it; instead
-``verify_reference`` checks that its own arithmetic is internally
-consistent (per-row deltas, column sums, total delta) and that the
-associated five-year cost identity holds. Failures are reported
-findings, never exceptions, so fault-injection tests can exercise them.
+operating regime versus a descriptor-controlled one. Its source events
+are not available, so nothing recomputes it. Two checks belong to it
+alone and run only when it is audited: its periods run 1..57, and the
+five-year cost identity holds. Failed checks are reported findings,
+never exceptions, so fault-injection tests can exercise them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
+from .engine import RegimeComparison
 from .errors import ValidationError
-from .io import read_comparison_table, write_comparison_table
+from .io import read_comparison_table
 
 REFERENCE_ROWS = 57
-
-# Printed column totals of the bundled table.
-PRINTED_BASIC_TOTAL = 5069.93
-PRINTED_DDESCR_TOTAL = 5491.28
-PRINTED_DELTA_TOTAL = 421.35
 
 # Five-year operating cost, descriptor-control setup cost, and their sum
 # (thousand rubles).
@@ -44,46 +49,6 @@ COLUMN_SUM_SLACK = 0.3
 _FLOAT_GUARD = 1e-12
 
 _BUNDLED_REFERENCE = "reference_regimes.csv"
-
-
-@dataclass(frozen=True)
-class ReferenceTable:
-    """Dense 57-row comparison table with its printed totals."""
-
-    periods: np.ndarray
-    v_basic: np.ndarray
-    v_ddescr: np.ndarray
-    dv: np.ndarray
-    printed_totals: tuple[float, float, float]
-
-    def __post_init__(self):
-        periods = np.array(self.periods, dtype=int)
-        columns = {
-            "v_basic": np.array(self.v_basic, dtype=float),
-            "v_ddescr": np.array(self.v_ddescr, dtype=float),
-            "dv": np.array(self.dv, dtype=float),
-        }
-        if periods.shape != (REFERENCE_ROWS,):
-            raise ValidationError(
-                f"reference table must have exactly {REFERENCE_ROWS} rows, got {periods.size}"
-            )
-        if not np.array_equal(periods, np.arange(1, REFERENCE_ROWS + 1)):
-            raise ValidationError("reference periods must run 1..57 in order")
-        for name, column in columns.items():
-            if column.shape != periods.shape:
-                raise ValidationError(f"column {name} must have {REFERENCE_ROWS} values")
-            if not np.all(np.isfinite(column)):
-                raise ValidationError(f"column {name} must be finite")
-            column.setflags(write=False)
-        totals = tuple(float(v) for v in self.printed_totals)
-        if len(totals) != 3:
-            raise ValidationError("printed_totals must be a (basic, ddescr, delta) triple")
-        periods.setflags(write=False)
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "v_basic", columns["v_basic"])
-        object.__setattr__(self, "v_ddescr", columns["v_ddescr"])
-        object.__setattr__(self, "dv", columns["dv"])
-        object.__setattr__(self, "printed_totals", totals)
 
 
 @dataclass(frozen=True)
@@ -105,105 +70,111 @@ class VerificationReport:
         return iter(self.checks)
 
 
-def read_reference(path) -> ReferenceTable:
-    """Read a comparison-table file and validate the reference structure."""
-    periods, v_basic, v_ddescr, dv, totals = read_comparison_table(path)
-    if totals is None:
-        raise ValidationError(f"{path}: reference table is missing its totals directive")
-    return ReferenceTable(
-        periods=periods, v_basic=v_basic, v_ddescr=v_ddescr, dv=dv, printed_totals=totals
-    )
+def _check_reference_periods(periods) -> None:
+    """The bundled table's structure: exactly the dense periods 1..57."""
+    if not np.array_equal(periods, np.arange(1, REFERENCE_ROWS + 1)):
+        raise ValidationError(
+            f"reference table must have exactly {REFERENCE_ROWS} rows with periods "
+            f"1..{REFERENCE_ROWS}, got {np.size(periods)} rows"
+        )
 
 
-def load_reference() -> ReferenceTable:
-    """The bundled reference table."""
+def load_reference() -> tuple[RegimeComparison, tuple[float, float, float]]:
+    """The bundled reference table and its printed totals."""
     resource = resources.files(__package__).joinpath("data", _BUNDLED_REFERENCE)
     with resources.as_file(resource) as path:
-        return read_reference(path)
+        comparison, totals = read_comparison_table(path)
+    _check_reference_periods(comparison.periods)
+    return comparison, totals
 
 
-def write_reference(table: ReferenceTable, path) -> Path:
-    """Write a reference table back out (round-trips through read_reference)."""
-    return write_comparison_table(
-        path,
-        table.periods,
-        table.v_basic,
-        table.v_ddescr,
-        table.dv,
-        totals=table.printed_totals,
-    )
+def _whole_cents(values) -> bool:
+    values = np.asarray(values, dtype=float)
+    return bool(np.all(np.round(values, 2) == values))
 
 
 def _cents(value: float) -> int:
     return round(value * 100)
 
 
-def verify_reference(table: ReferenceTable) -> VerificationReport:
-    """Audit the table's internal arithmetic.
+def verify_reference(comparison: RegimeComparison, totals) -> VerificationReport:
+    """Audit a comparison table's internal arithmetic against its totals.
 
-    Four checks: (a) every printed per-row delta agrees with the column
-    difference within the rounding slack; (b) each column sum matches
-    its printed total within the accumulated-rounding bound; (c) the
-    printed totals themselves satisfy ddescr - basic = delta exactly at
-    2-decimal precision; (d) the five-year cost identity holds. All
-    outcomes are findings in the report.
+    Three checks: (a) every per-row delta agrees with the column
+    difference; (b) each column sum matches its total; (c) the totals
+    satisfy ddescr - basic = delta. A 2-decimal printing (every cell and
+    total a whole number of cents) is allowed 0.02 per row and 0.3 per
+    column, and (c) is checked in cents; any other table must pass all
+    three exactly. All outcomes are findings in the report.
     """
+    if totals is None:
+        raise ValidationError("comparison table has no '# totals:' directive to audit")
+    basic_total, treated_total, delta_total = (float(v) for v in totals)
+    columns = (comparison.basic, comparison.treated, comparison.delta)
+    printed = all(map(_whole_cents, (*columns, totals)))
+    row_slack, column_slack, guard = (
+        (ROW_ROUNDING_SLACK, COLUMN_SUM_SLACK, _FLOAT_GUARD) if printed else (0, 0, 0)
+    )
+    show = "{:.2f}".format if printed else repr
     checks = []
 
-    row_error = np.abs(table.dv - (table.v_ddescr - table.v_basic))
-    bad_rows = table.periods[row_error > ROW_ROUNDING_SLACK + _FLOAT_GUARD]
+    row_error = np.abs(comparison.delta - (comparison.treated - comparison.basic))
+    bad_rows = comparison.periods[row_error > row_slack + guard]
     checks.append(
         ReferenceCheck(
             check_id="row-deltas",
             passed=bad_rows.size == 0,
             detail=(
-                f"all {table.periods.size} rows within {ROW_ROUNDING_SLACK}"
+                f"all {comparison.periods.size} rows within {row_slack}"
                 if bad_rows.size == 0
-                else "rows exceeding the rounding slack: "
+                else f"rows off by more than {row_slack}: "
                 + ", ".join(f"t={t}" for t in bad_rows)
             ),
         )
     )
 
-    printed_basic, printed_ddescr, printed_delta = table.printed_totals
-    sum_basic = float(table.v_basic.sum())
-    sum_ddescr = float(table.v_ddescr.sum())
-    basic_ok = abs(sum_basic - printed_basic) <= COLUMN_SUM_SLACK
-    ddescr_ok = abs(sum_ddescr - printed_ddescr) <= COLUMN_SUM_SLACK
+    sum_basic = float(comparison.basic.sum())
+    sum_ddescr = float(comparison.treated.sum())
+    basic_ok = abs(sum_basic - basic_total) <= column_slack
+    ddescr_ok = abs(sum_ddescr - treated_total) <= column_slack
     checks.append(
         ReferenceCheck(
             check_id="column-sums",
             passed=basic_ok and ddescr_ok,
             detail=(
-                f"basic {sum_basic:.2f} vs printed {printed_basic:.2f}, "
-                f"ddescr {sum_ddescr:.2f} vs printed {printed_ddescr:.2f} "
-                f"(slack {COLUMN_SUM_SLACK})"
+                f"basic {show(sum_basic)} vs printed {show(basic_total)}, "
+                f"ddescr {show(sum_ddescr)} vs printed {show(treated_total)} "
+                f"(slack {column_slack})"
             ),
         )
     )
 
-    delta_exact = _cents(printed_ddescr) - _cents(printed_basic) == _cents(printed_delta)
+    unit = _cents if printed else float
+    delta_exact = unit(treated_total) - unit(basic_total) == unit(delta_total)
     checks.append(
         ReferenceCheck(
             check_id="total-delta",
             passed=delta_exact,
             detail=(
-                f"{printed_ddescr:.2f} - {printed_basic:.2f} "
-                f"{'=' if delta_exact else '!='} {printed_delta:.2f} at 2-decimal precision"
+                f"{show(treated_total)} - {show(basic_total)} "
+                f"{'=' if delta_exact else '!='} {show(delta_total)} at "
+                f"{'2-decimal' if printed else 'full'} precision"
             ),
         )
     )
-
-    cost_ok = BASE_FIVE_YEAR_COST + CONTROL_SETUP_COST == TOTAL_FIVE_YEAR_COST
-    checks.append(
-        ReferenceCheck(
-            check_id="cost-identity",
-            passed=cost_ok,
-            detail=(
-                f"{BASE_FIVE_YEAR_COST:,} + {CONTROL_SETUP_COST:,} "
-                f"{'=' if cost_ok else '!='} {TOTAL_FIVE_YEAR_COST:,} thousand rubles"
-            ),
-        )
-    )
-
     return VerificationReport(checks=tuple(checks))
+
+
+def verify_bundled_reference() -> VerificationReport:
+    """Audit the bundled table: its arithmetic, then the five-year cost identity."""
+    report = verify_reference(*load_reference())
+    cost_ok = BASE_FIVE_YEAR_COST + CONTROL_SETUP_COST == TOTAL_FIVE_YEAR_COST
+    cost = ReferenceCheck(
+        check_id="cost-identity",
+        passed=cost_ok,
+        detail=(
+            f"{BASE_FIVE_YEAR_COST:,} + {CONTROL_SETUP_COST:,} "
+            f"{'=' if cost_ok else '!='} {TOTAL_FIVE_YEAR_COST:,} thousand rubles"
+        ),
+    )
+    return VerificationReport(checks=report.checks + (cost,))

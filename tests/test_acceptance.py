@@ -21,7 +21,7 @@ from regimetrics import (
     load_reference,
     naive_oracle,
     paired_scenarios,
-    verify_reference,
+    verify_bundled_reference,
     window_correlation,
 )
 from regimetrics.cli import main
@@ -60,16 +60,16 @@ def random_instance(rng):
 def test_criterion_1_reference_arithmetic():
     failures = []
     start = time.perf_counter()
-    table = load_reference()
+    table, _ = load_reference()
 
-    basic_cents = int(np.rint(table.v_basic * 100).astype(int).sum())
-    ddescr_cents = int(np.rint(table.v_ddescr * 100).astype(int).sum())
+    basic_cents = int(np.rint(table.basic * 100).astype(int).sum())
+    ddescr_cents = int(np.rint(table.treated * 100).astype(int).sum())
     if basic_cents != EXPECTED_BASIC_SUM_CENTS:
         failures.append(f"basic column sums to {basic_cents} cents, expected {EXPECTED_BASIC_SUM_CENTS}")
     if ddescr_cents != EXPECTED_DDESCR_SUM_CENTS:
         failures.append(f"ddescr column sums to {ddescr_cents} cents, expected {EXPECTED_DDESCR_SUM_CENTS}")
 
-    row_error = np.abs(table.dv - (table.v_ddescr - table.v_basic))
+    row_error = np.abs(table.delta - (table.treated - table.basic))
     if row_error.max() > 0.02 + 1e-12:
         failures.append(f"max per-row delta error {row_error.max():.4f} exceeds 0.02")
 
@@ -83,7 +83,7 @@ def test_criterion_1_reference_arithmetic():
     if 5_641_442 + 28_208 != 5_669_650:
         failures.append("cost identity broken")
 
-    verification = verify_reference(table)
+    verification = verify_bundled_reference()
     for check in verification:
         if not check.passed:
             failures.append(f"verify-reference check {check.check_id} failed: {check.detail}")

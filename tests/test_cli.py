@@ -1,12 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regimetrics import ParseError, load_reference, write_reference
+import regimetrics
+from regimetrics import ParseError, RegimeComparison, load_reference
 from regimetrics.cli import main
-from regimetrics.io import read_comparison_table, read_indicator_column
-from regimetrics.reference import ReferenceTable
+from regimetrics.io import read_comparison_table, read_indicator_column, write_comparison_table
 
 SCENARIO = {
     "seed": 42,
@@ -43,19 +44,66 @@ def test_verify_reference_passes(capsys):
 
 
 def test_verify_reference_fails_on_perturbed_table(tmp_path, capsys):
-    table = load_reference()
-    dv = table.dv.copy()
+    table, totals = load_reference()
+    dv = table.delta.copy()
     dv[0] += 0.5
-    bad = ReferenceTable(
-        periods=table.periods,
-        v_basic=table.v_basic,
-        v_ddescr=table.v_ddescr,
-        dv=dv,
-        printed_totals=table.printed_totals,
-    )
-    path = write_reference(bad, tmp_path / "bad.csv")
+    bad = RegimeComparison(periods=table.periods, basic=table.basic, treated=table.treated, delta=dv)
+    path = write_comparison_table(tmp_path / "bad.csv", bad, totals)
     assert run(["verify-reference", "--file", path]) == 1
     assert "[FAIL] row-deltas" in capsys.readouterr().out
+
+
+def test_verify_reference_passes_a_copy_of_the_bundled_table(tmp_path, capsys):
+    bundled = Path(regimetrics.__file__).parent / "data" / "reference_regimes.csv"
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(bundled.read_bytes())
+    assert run(["verify-reference", "--file", copy]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 3
+    assert "within 0.02" in out and "(slack 0.3)" in out
+
+
+def compare_output(tmp_path, scenario_path):
+    data = tmp_path / "data"
+    run(["generate", "--config", scenario_path, "--output-dir", data])
+    out = tmp_path / "cmp"
+    assert run(["compare", "--basic", data / "events_baseline.csv",
+                "--treated", data / "events_treated.csv",
+                "--window", "5", "--output-dir", out]) == 0
+    return out / "comparison.csv"
+
+
+def test_verify_reference_audits_a_compare_output(tmp_path, scenario_path, capsys):
+    table = compare_output(tmp_path, scenario_path)
+    capsys.readouterr()
+    assert run(["verify-reference", "--file", table]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 3
+    assert "[FAIL]" not in out
+    assert "all 25 rows within 0" in out
+
+
+@pytest.mark.parametrize("column", [1, 3], ids=["v_basic", "dv"])
+def test_verify_reference_fails_on_a_one_ulp_change(tmp_path, scenario_path, capsys, column):
+    table = compare_output(tmp_path, scenario_path)
+    lines = table.read_text().splitlines()
+    assert lines[1].split(",")[column] in ("v_basic", "dv")
+    row = lines[10].split(",")
+    row[column] = repr(np.nextafter(float(row[column]), np.inf).item())
+    lines[10] = ",".join(row)
+    table.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify-reference", "--file", table]) == 1
+    assert f"[FAIL] row-deltas: rows off by more than 0: t={row[0]}" in capsys.readouterr().out
+
+
+def test_verify_reference_needs_a_totals_directive(tmp_path, capsys):
+    table = tmp_path / "comparison.csv"
+    table.write_text("t,v_basic,v_ddescr,dv\n3,1.5,2.5,1.0\n")
+    assert run(["verify-reference", "--file", table]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {table}: comparison table has no '# totals:' directive to audit\n"
+    )
 
 
 def test_catalog_listing(capsys):
@@ -104,11 +152,11 @@ def test_generate_analyze_compare_pipeline(tmp_path, scenario_path, capsys):
          "--window", "5", "--mode", "standardized", "--output-dir", out]
     )
     assert code == 0
-    periods, _, _, delta, _ = read_comparison_table(out / "comparison.csv")
+    comparison, _ = read_comparison_table(out / "comparison.csv")
     # windows lying entirely before the intervention period show no delta
-    before = periods <= SCENARIO["intervention_period"]
+    before = comparison.periods <= SCENARIO["intervention_period"]
     assert before.any()
-    assert np.array_equal(delta[before], np.zeros(before.sum()))
+    assert np.array_equal(comparison.delta[before], np.zeros(before.sum()))
 
 
 def test_compare_accepts_indicator_outputs(tmp_path, scenario_path):
@@ -370,4 +418,43 @@ def test_indicator_output_cells_must_be_finite_numbers(
                 "--output-dir", tmp_path / "out"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_names_both_files_when_period_ranges_differ(tmp_path, capsys):
+    rows = ["t,a,b", *(f"{t},{t * t % 7}.5,{t % 3}.25" for t in range(1, 7))]
+    six = write_plot(tmp_path / "six.csv", rows)
+    five = write_plot(tmp_path / "five.csv", rows[:-1])
+    code = run(["compare", "--basic", six, "--treated", five, "--window", "2",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {six} vs {five}: regimes cover different period ranges: "
+        "basic 3..6, treated 3..5\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_window_error_names_the_input(tmp_path, capsys):
+    short = write_plot(tmp_path / "short.csv", ["t,a", "1,1.0"])
+    five = write_plot(tmp_path / "five.csv", ["t,a", *(f"{t},{t}.5" for t in range(1, 6))])
+    code = run(["compare", "--basic", short, "--treated", five, "--window", "2",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {short}: period 1 has only 0 preceding periods, window needs 2\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_window_of_one_with_the_model_rule(tmp_path, scenario_path, capsys):
+    # Padded plot data fits window 1, so the window length rule is what stops the run.
+    basic = analyze_to(tmp_path, scenario_path, "baseline", "3", "--pad-warmup")
+    treated = analyze_to(tmp_path, scenario_path, "treated", "3", "--pad-warmup")
+    code = run(["compare", "--basic", basic / "plot.csv", "--treated", treated / "plot.csv",
+                "--window", "1", "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: window length must be at least 2 (the coefficient divisor is k-1), got 1\n"
+    )
     assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from regimetrics import (
     CompetencyMapping,
     EnterpriseModel,
+    InvalidWindowError,
     ParseError,
     ProcessConfig,
+    RegimeComparison,
     ScenarioConfig,
     ValidationError,
     compare_regimes,
@@ -21,10 +24,8 @@ from regimetrics import (
     parse_events,
     parse_mapping,
     parse_scenario,
-    read_reference,
     write_events,
     write_mapping,
-    write_reference,
     write_scenario,
 )
 from regimetrics.engine import IndicatorSeries
@@ -298,24 +299,22 @@ def test_emit_comparison_report(tmp_path, make_series):
     written = emit_report(tmp_path / "out", 4, "raw", comparison=comparison)
     names = [path.name for path in written]
     assert names == ["comparison.csv", "plot_basic.csv", "plot_ddescr.csv", "metadata.json"]
-    periods, basic, treated, delta, totals = read_comparison_table(
-        tmp_path / "out" / "comparison.csv"
-    )
-    assert np.array_equal(basic, comparison.basic)
-    assert np.array_equal(treated, comparison.treated)
-    assert np.array_equal(delta, comparison.delta)
+    table, totals = read_comparison_table(tmp_path / "out" / "comparison.csv")
+    assert np.array_equal(table.basic, comparison.basic)
+    assert np.array_equal(table.treated, comparison.treated)
+    assert np.array_equal(table.delta, comparison.delta)
     assert totals == (comparison.basic_total, comparison.treated_total, comparison.delta_total)
 
 
 def test_emitted_reference_reparses_identically(tmp_path):
-    table = load_reference()
-    path = write_reference(table, tmp_path / "reference.csv")
-    reparsed = read_reference(path)
+    table, totals = load_reference()
+    path = write_comparison_table(tmp_path / "reference.csv", table, totals)
+    reparsed, reparsed_totals = read_comparison_table(path)
     assert np.array_equal(reparsed.periods, table.periods)
-    assert reparsed.v_basic.tobytes() == table.v_basic.tobytes()
-    assert reparsed.v_ddescr.tobytes() == table.v_ddescr.tobytes()
-    assert reparsed.dv.tobytes() == table.dv.tobytes()
-    assert reparsed.printed_totals == table.printed_totals
+    assert reparsed.basic.tobytes() == table.basic.tobytes()
+    assert reparsed.treated.tobytes() == table.treated.tobytes()
+    assert reparsed.delta.tobytes() == table.delta.tobytes()
+    assert reparsed_totals == totals
 
 
 def test_emit_refuses_empty_evaluable_range(tmp_path):
@@ -357,6 +356,14 @@ def test_pad_warmup_plot_rows(tmp_path, make_series):
 def test_report_requires_some_content(tmp_path):
     with pytest.raises(ValidationError):
         emit_report(tmp_path / "out", 4, "raw")
+
+
+def test_report_window_length_is_the_model_rule(tmp_path, make_series):
+    report, _ = indicator_report(make_series)
+    message = "window length must be at least 2 (the coefficient divisor is k-1), got 1"
+    with pytest.raises(InvalidWindowError, match=re.escape(message)):
+        emit_report(tmp_path / "out", **{**report, "k": 1})
+    assert not (tmp_path / "out").exists()
 
 
 def test_atomic_write_replaces_existing(tmp_path, make_series):
@@ -486,7 +493,8 @@ def test_indicator_and_plot_writers_bytes_match_csv_writer(tmp_path):
 def test_comparison_writer_bytes_match_csv_writer(tmp_path):
     columns = edge_matrix(9, 3).T
     totals = (1.0 / 3.0, -0.0, 1e308)
-    path = write_comparison_table(tmp_path / "comparison.csv", range(3, 12), *columns, totals=totals)
+    comparison = RegimeComparison(range(3, 12), *columns)
+    path = write_comparison_table(tmp_path / "comparison.csv", comparison, totals)
     directives = [("totals", ",".join(map(fmt, totals)))]
     header = ("t", "v_basic", "v_ddescr", "dv")
     assert path.read_bytes() == csv_reference(header, range(3, 12), columns.T, directives)

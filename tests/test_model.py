@@ -8,10 +8,12 @@ from regimetrics import (
     InsufficientHistoryError,
     InvalidWindowError,
     MappedSeries,
+    ParseError,
     ValidationError,
     apply_mapping,
     check_budget,
     default_catalog,
+    parse_mapping,
     window_correlation,
 )
 
@@ -67,11 +69,16 @@ def test_mapping_rejects_negative_costs():
         mapping_for([[1, 0]], costs=[-1.0])
 
 
-def test_mapping_validates_ids_against_catalog():
-    mapping = mapping_for([[1, 0]], ids=("9.9",))
-    with pytest.raises(ValidationError, match="9.9"):
-        mapping.validate_against(default_catalog())
-    mapping_for([[1, 0]], ids=("2.4",)).validate_against(default_catalog())
+def test_mapping_validates_ids_against_catalog(tmp_path):
+    def mapping_file(cid):
+        path = tmp_path / f"mapping_{cid}.csv"
+        path.write_text(f"# budget: 10\ncompetency_id,channel_label,flag\n{cid},a,1\n")
+        return path
+
+    with pytest.raises(ParseError, match="9.9"):
+        parse_mapping(mapping_file("9.9"), ("a", "b"), catalog=default_catalog())
+    mapping = parse_mapping(mapping_file("2.4"), ("a", "b"), catalog=default_catalog())
+    assert mapping.competency_ids == ("2.4",)
 
 
 # --- apply_mapping ----------------------------------------------------------
