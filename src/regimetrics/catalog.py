@@ -5,19 +5,21 @@ taxonomy: each level states the same five skill families, and each skill
 carries exactly one qualification request. It ships as a CSV data file
 rather than hard-coded constants so an alternative framework with the
 same 3x5 shape can be substituted; the bundled Dublin Descriptors file
-is the authoritative default.
+is the authoritative default. The file syntax (header, quoting, blank
+lines, error lines) is the one table syntax of ``io``; this module holds
+only the catalog's own rules.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, ValidationError, not_utf8
+from .errors import ParseError, ValidationError
+from .io import _read_table, _write_table
 
 LEVELS = (1, 2, 3)
 SKILLS_PER_LEVEL = 5
@@ -83,12 +85,6 @@ class DescriptorCatalog:
 
 
 def _parse_entry(row: list[str], source, line: int) -> DescriptorEntry:
-    if len(row) != len(CATALOG_FIELDS):
-        raise ParseError(
-            f"expected {len(CATALOG_FIELDS)} fields, got {len(row)}",
-            source=source,
-            line=line,
-        )
     raw_level, level_name, skill_id, skill_name, request_id, request_text = (
         field.strip() for field in row
     )
@@ -122,55 +118,37 @@ def _parse_entry(row: list[str], source, line: int) -> DescriptorEntry:
     return DescriptorEntry(level, level_name, skill_id, skill_name, request_id, request_text)
 
 
-def load_catalog(source) -> DescriptorCatalog:
-    """Load and validate a catalog document.
+def load_catalog(path) -> DescriptorCatalog:
+    """Load and validate a catalog file.
 
-    ``source`` is a path or an open text stream. The document is a CSV
-    with header ``level,level_name,skill_id,skill_name,request_id,
-    request_text`` and one record per entry. Entries are returned sorted
-    by (skill number, level) regardless of file order.
+    The file is a table with header ``level,level_name,skill_id,
+    skill_name,request_id,request_text`` and one record per entry.
+    Entries are returned sorted by (skill number, level) regardless of
+    file order.
     """
-    if hasattr(source, "read"):
-        return _load_catalog_stream(source, getattr(source, "name", "<stream>"))
-    path = Path(source)
-    with path.open(newline="", encoding="utf-8") as handle:
-        try:
-            return _load_catalog_stream(handle, path)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-
-
-def _load_catalog_stream(handle, source) -> DescriptorCatalog:
-    reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"catalog document {source} is empty (0 entries, expected {CATALOG_SIZE})")
-    if tuple(field.strip() for field in header) != CATALOG_FIELDS:
-        raise ParseError(
-            f"header must be {','.join(CATALOG_FIELDS)}", source=source, line=1
-        )
     entries = []
     seen_lines: dict[str, int] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        entry = _parse_entry(row, source, line)
-        if entry.skill_id in seen_lines:
-            raise ValidationError(
-                f"duplicate (level, skill_id) ({entry.level}, {entry.skill_id!r}) "
-                f"at lines {seen_lines[entry.skill_id]} and {line} of {source}"
-            )
-        seen_lines[entry.skill_id] = line
-        entries.append(entry)
+    with _read_table(path) as (line, header, _, rows):
+        if header != CATALOG_FIELDS:
+            raise ParseError(f"header must be {','.join(CATALOG_FIELDS)}", source=path, line=line)
+        for at, _, row in rows:
+            entry = _parse_entry(row, path, at)
+            if entry.skill_id in seen_lines:
+                raise ValidationError(
+                    f"duplicate (level, skill_id) ({entry.level}, {entry.skill_id!r}) "
+                    f"at lines {seen_lines[entry.skill_id]} and {at} of {path}"
+                )
+            seen_lines[entry.skill_id] = at
+            entries.append(entry)
     entries.sort(key=lambda e: (e.skill_number, e.level))
-    return DescriptorCatalog(tuple(entries))
+    try:
+        return DescriptorCatalog(tuple(entries))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_catalog(catalog: DescriptorCatalog, path) -> Path:
     """Write a catalog back out in the document format (round-trips), atomically."""
-    from .io import _write_table  # not at module level: io imports this module
-
     rows = (
         (e.level, e.level_name, e.skill_id, e.skill_name, e.request_id, e.request_text)
         for e in catalog.entries
@@ -182,5 +160,5 @@ def save_catalog(catalog: DescriptorCatalog, path) -> Path:
 def default_catalog() -> DescriptorCatalog:
     """The bundled Dublin Descriptors catalog (immutable, cached)."""
     resource = resources.files(__package__).joinpath("data", _BUNDLED_CATALOG)
-    with resource.open("r", encoding="utf-8", newline="") as handle:
-        return _load_catalog_stream(handle, _BUNDLED_CATALOG)
+    with resources.as_file(resource) as path:
+        return load_catalog(path)

@@ -11,7 +11,9 @@ the header, blank lines skipped; a leading ``t`` column runs densely by
 * comparison table: ``t,v_basic,v_ddescr,dv`` rows with an optional
   ``# totals:`` directive;
 * indicator table: ``t,<labels...>,total``;
-* plot data: ``t,v_total`` pairs.
+* plot data: ``t,v_total`` pairs;
+* descriptor catalog: ``level,level_name,skill_id,skill_name,request_id,
+  request_text`` rows (its own rules live in ``catalog``).
 
 The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
@@ -34,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import DescriptorCatalog
 from .engine import IndicatorSeries, RegimeComparison
 from .errors import ParseError, ValidationError, not_utf8
 from .model import (
@@ -148,8 +149,10 @@ def _read_table(path, directives=(), first_period=None):
 
         def rows():
             start = expected = first_period
+            read = reader.line_num
             for row in reader:
-                line = header_line - 1 + reader.line_num
+                # A quoted field may span lines; a record is named by its first.
+                line, read = header_line + read, reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if row[0].lstrip().startswith("#"):
@@ -311,11 +314,12 @@ def write_mapping(mapping: CompetencyMapping, channel_labels, path) -> Path:
     return _write_table(path, MAPPING_HEADER, rows, directives)
 
 
-def parse_mapping(path, channel_labels, catalog: DescriptorCatalog | None = None) -> CompetencyMapping:
+def parse_mapping(path, channel_labels, catalog=None) -> CompetencyMapping:
     """Read a mapping file against a known channel-label set.
 
-    When a catalog is supplied, every competency id must resolve in it;
-    an id that does not is an error at the first line naming it.
+    When a catalog (a DescriptorCatalog) is supplied, every competency id
+    must resolve in it; an id that does not is an error at the first line
+    naming it.
     """
     channel_labels = tuple(channel_labels)
     column_of = {label: j for j, label in enumerate(channel_labels)}
@@ -475,8 +479,11 @@ def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.nd
     Every cell must be a finite number. Given the window ``k``, the file
     must be an output of that window: its periods start at k + 1, or at
     1 with zero rows 1..k (plot data written with ``pad_warmup``), and
-    those rows are dropped.
+    those rows are dropped. A ``k`` below 2 is the window length error
+    of any analysis, raised before the file is read.
     """
+    if k is not None:
+        _check_window_length(k)
     with _read_table(path) as (line, header, _, rows):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"

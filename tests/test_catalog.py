@@ -1,5 +1,4 @@
 import csv
-import io
 
 import pytest
 
@@ -42,13 +41,19 @@ def make_rows():
     return rows
 
 
-def document(rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(HEADER)
-    writer.writerows(rows)
-    buffer.seek(0)
-    return buffer
+@pytest.fixture
+def document(tmp_path):
+    """Write a header and ``rows`` to a catalog file and return its path."""
+
+    def write(rows):
+        path = tmp_path / "catalog.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(HEADER)
+            writer.writerows(rows)
+        return path
+
+    return write
 
 
 def test_bundled_catalog_has_15_entries():
@@ -99,24 +104,27 @@ def test_request_ids_extend_skill_ids():
         assert entry.request_text
 
 
-def test_empty_document_rejected():
-    with pytest.raises(ValidationError):
-        load_catalog(io.StringIO(""))
+def test_empty_document_rejected(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text("")
+    with pytest.raises(ParseError, match="missing header") as excinfo:
+        load_catalog(path)
+    assert excinfo.value.line == 1
 
 
-def test_header_only_document_rejected():
+def test_header_only_document_rejected(document):
     with pytest.raises(ValidationError, match="15"):
         load_catalog(document([]))
 
 
-def test_duplicate_skill_id_rejected():
+def test_duplicate_skill_id_rejected(document):
     rows = make_rows()
     rows.append(next(row for row in make_rows() if row[2] == "2.3"))
     with pytest.raises(ValidationError, match="2.3"):
         load_catalog(document(rows))
 
 
-def test_wrong_entry_count_rejected():
+def test_wrong_entry_count_rejected(document):
     rows = make_rows()[:-1]
     with pytest.raises(ValidationError, match="14"):
         load_catalog(document(rows))
@@ -134,7 +142,7 @@ def test_wrong_entry_count_rejected():
         (lambda row: row.append("extra"), "fields"),
     ],
 )
-def test_malformed_rows_rejected_with_location(mutate, match):
+def test_malformed_rows_rejected_with_location(document, mutate, match):
     rows = make_rows()
     mutate(rows[0])
     with pytest.raises(ParseError, match=match) as excinfo:
@@ -162,9 +170,36 @@ def test_save_is_atomic(tmp_path, monkeypatch):
     assert [entry.name for entry in tmp_path.iterdir()] == ["catalog.csv"]
 
 
-def test_load_order_independent(tmp_path):
+def test_load_order_independent(document):
     rows = make_rows()
     rows.reverse()
     catalog = load_catalog(document(rows))
     ids = [entry.skill_id for entry in catalog.entries]
     assert ids == [f"{level}.{skill}" for skill in range(1, 6) for level in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("bad, line", [(1, 4), (0, 2)], ids=["after-it", "on-it"])
+def test_error_names_the_physical_line_of_a_record_near_a_multi_line_field(document, bad, line):
+    # header on line 1, the first record on lines 2-3, the second on line 4
+    rows = make_rows()
+    rows[0][5] = "first line of the request\nsecond line of the request"
+    rows[bad][0] = "x"
+    with pytest.raises(ParseError, match="not an integer") as excinfo:
+        load_catalog(document(rows))
+    assert excinfo.value.line == line
+
+
+def test_blank_and_whitespace_only_lines_are_skipped(document, tmp_path):
+    plain = document(make_rows())
+    lines = plain.read_text().splitlines(keepends=True)
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("".join(["\n", "   \n", lines[0], "\n", *lines[1:8], " \t \n", *lines[8:]]))
+    assert load_catalog(spaced) == load_catalog(plain)
+
+
+def test_leading_comment_is_an_unknown_directive(document, tmp_path):
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# note\n" + document(make_rows()).read_text())
+    with pytest.raises(ParseError, match="unknown directive") as excinfo:
+        load_catalog(commented)
+    assert excinfo.value.line == 1

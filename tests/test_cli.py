@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import regimetrics
-from regimetrics import ParseError, RegimeComparison, load_reference
+from regimetrics import (
+    ParseError,
+    RegimeComparison,
+    default_catalog,
+    load_reference,
+    save_catalog,
+)
 from regimetrics.cli import main
 from regimetrics.io import read_comparison_table, read_indicator_column, write_comparison_table
 
@@ -121,6 +127,16 @@ def test_catalog_skill_lookup(capsys):
 def test_catalog_unknown_skill_is_an_error(capsys):
     assert run(["catalog", "--skill", "9.9"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_catalog_file_structure_error_names_the_file(tmp_path, capsys):
+    catalog = save_catalog(default_catalog(), tmp_path / "catalog.csv")
+    lines = catalog.read_text().splitlines(keepends=True)
+    catalog.write_text("".join(lines[:-1]))
+    assert run(["catalog", "--file", catalog]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {catalog}: catalog must have exactly 15 entries, got 14\n"
+    )
 
 
 def test_unknown_subcommand_is_a_usage_error():
@@ -447,11 +463,21 @@ def test_compare_window_error_names_the_input(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_compare_rejects_window_of_one_with_the_model_rule(tmp_path, scenario_path, capsys):
-    # Padded plot data fits window 1, so the window length rule is what stops the run.
-    basic = analyze_to(tmp_path, scenario_path, "baseline", "3", "--pad-warmup")
-    treated = analyze_to(tmp_path, scenario_path, "treated", "3", "--pad-warmup")
-    code = run(["compare", "--basic", basic / "plot.csv", "--treated", treated / "plot.csv",
+@pytest.mark.parametrize(
+    "window, flags, name",
+    [
+        ("3", ["--pad-warmup"], "plot.csv"),  # padded plot data fits window 1
+        ("5", [], "indicators.csv"),  # starts at period 6, which window 1 does not fit
+    ],
+    ids=["padded-plot", "unpadded-window-5"],
+)
+def test_compare_rejects_window_of_one_with_the_model_rule(
+    tmp_path, scenario_path, capsys, window, flags, name
+):
+    # Whether or not the files fit window 1, the window length rule is what stops the run.
+    basic = analyze_to(tmp_path, scenario_path, "baseline", window, *flags)
+    treated = analyze_to(tmp_path, scenario_path, "treated", window, *flags)
+    code = run(["compare", "--basic", basic / name, "--treated", treated / name,
                 "--window", "1", "--output-dir", tmp_path / "out"])
     assert code == 1
     assert capsys.readouterr().err == (
