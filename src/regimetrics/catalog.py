@@ -128,7 +128,7 @@ def load_catalog(path) -> DescriptorCatalog:
     """
     entries = []
     seen_lines: dict[str, int] = {}
-    with _read_table(path) as (line, header, _, rows):
+    with _read_table(path) as (line, header, _, rows, _):
         if header != CATALOG_FIELDS:
             raise ParseError(f"header must be {','.join(CATALOG_FIELDS)}", source=path, line=line)
         for at, _, row in rows:

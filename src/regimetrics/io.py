@@ -15,6 +15,16 @@ the header, blank lines skipped; a leading ``t`` column runs densely by
 * descriptor catalog: ``level,level_name,skill_id,skill_name,request_id,
   request_text`` rows (its own rules live in ``catalog``).
 
+The numeric cells of event, comparison and indicator tables are
+converted in ``_read_values``. Data rows made only of the plain alphabet
+(ASCII ``0-9 . e E + -``, comma, space and ``\\n``) go through one
+``np.loadtxt`` call, numpy's C reader, and the dense ``t`` rule and
+finiteness are checked on its arrays. Any other data, and any row,
+rule or warning that stops that call, takes the streamed path: the file
+is read again with ``int()`` and ``float()`` per cell, which names the
+first bad cell and its line. The accepted syntax and every message are
+those of the streamed path either way.
+
 The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
 written atomically (write to a temporary file in the same directory,
@@ -31,6 +41,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -112,13 +123,13 @@ def _is_indicator_header(header) -> bool:
 
 def is_indicator_output(path) -> bool:
     """Whether ``path`` holds an indicator table or plot data rather than an event series."""
-    with _read_table(path) as (_, header, _, _):
+    with _read_table(path) as (_, header, _, _, _):
         return _is_indicator_header(header)
 
 
 @contextmanager
 def _read_table(path, directives=(), first_period=None):
-    """Open a delimited table; yield ``(line, header, found, rows)``.
+    """Open a delimited table; yield ``(line, header, found, rows, rest)``.
 
     ``line`` is the header's physical line and ``found`` the directives
     as ``(line, name, value)``; a name not in ``directives`` is an error.
@@ -127,7 +138,9 @@ def _read_table(path, directives=(), first_period=None):
     first row's own value) on the first row and go up by 1 on each later
     row, and ``cells`` are the other fields; otherwise ``t`` is None. A
     byte that is not UTF-8 is an error at its own line, raised when the
-    text around it is first read.
+    text around it is first read. ``rest`` is the open text handle just
+    after the header, for a reader that takes the data rows as raw text
+    instead of ``rows``; both read the same handle, so use only one.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         lines = _decoded_lines(handle, path)
@@ -180,7 +193,7 @@ def _read_table(path, directives=(), first_period=None):
                 expected += 1
                 yield line, t, row[1:]
 
-        yield header_line, header, found, rows()
+        yield header_line, header, found, rows(), handle
 
 
 def _decoded_lines(handle, path):
@@ -234,7 +247,7 @@ def parse_events(path) -> EnterpriseModel:
     Periods run densely from 1, every cell must be a finite number, and
     the header of an indicator output is rejected.
     """
-    with _read_table(path, first_period=1) as (line, header, _, rows):
+    with _read_table(path, first_period=1) as (line, header, _, _, rest):
         labels = header[1:]
         if header[0] != EVENT_PERIOD_COLUMN:
             problem = f"first header column must be {EVENT_PERIOD_COLUMN!r}"
@@ -248,20 +261,91 @@ def parse_events(path) -> EnterpriseModel:
             problem = None
         if problem:
             raise ParseError(problem, source=path, line=line)
-        _, events = _read_values(path, header, rows, dict(first_period=1))
+        _, events = _read_values(path, header, rest, dict(first_period=1))
     if not events.size:
         raise ParseError("no data rows (t_max = 0)", source=path, line=line)
     return EnterpriseModel(events=events, channel_labels=labels)
 
 
-def _read_values(path, header, rows, table) -> tuple[np.ndarray, np.ndarray]:
+# The plain alphabet. Data rows made only of these characters go to np.loadtxt,
+# which reads them exactly as float() and int() do. Outside it the two differ:
+# loadtxt strips U+001C..U+001F around a number and refuses 1_0 or non-ASCII
+# digits, so such data takes the streamed path.
+_PLAIN = b"0123456789.eE+-, \n"
+# Characters of data text checked against _PLAIN and handed to loadtxt at a time.
+_PLAIN_BLOCK_CHARS = 1 << 16
+
+
+def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray]:
     """Periods and cells of a table whose header starts with ``t``.
+
+    ``rest`` is the open text after the header, and ``table`` holds the
+    table's ``_read_table`` arguments. Plain numeric data is converted by
+    one ``np.loadtxt`` call (``_load_plain``), with the dense ``t`` rule
+    and finiteness checked on its arrays. Anything else sends the table to
+    the streamed path (``_stream_values``), which reads the file again:
+    a character outside the plain alphabet, a cell or row that loadtxt
+    refuses or warns about, or a broken rule. That path accepts what
+    ``float()`` and ``int()`` accept and names the first bad cell and its
+    line, so both paths give the same arrays or the same error. Returns
+    the periods and the (rows, cells) values.
+    """
+    try:
+        return _load_plain(rest, len(header) - 1, table.get("first_period"))
+    except (ValueError, Warning):
+        pass  # the streamed path is the reference, so every refusal here defers to it
+    with _read_table(path, **table) as (_, _, _, rows, _):
+        return _stream_values(path, header, rows, table)
+
+
+def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and values of plain numeric data rows, by one ``np.loadtxt`` call.
+
+    ``t`` is read as int64, so it is parsed as ``int()`` would and ``1.0``
+    is refused. The text is checked against the plain alphabet a block at
+    a time as loadtxt takes it, so no second copy of it is held. Raises
+    ValueError when the text leaves the alphabet or breaks the dense ``t``
+    rule or finiteness; loadtxt's own errors, and its warnings (made
+    errors, so that a table without data rows raises), propagate.
+    """
+
+    def lines():
+        # Each block ends at a line end, so no row is split between two blocks.
+        while block := rest.read(_PLAIN_BLOCK_CHARS):
+            block += rest.readline()
+            if not block.isascii() or block.encode("ascii").translate(None, _PLAIN):
+                raise ValueError("not plain numeric data")
+            yield from block.split("\n")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = np.loadtxt(
+            lines(),
+            dtype=[("t", np.int64), ("v", float, (width,))],
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=1,
+        )
+    start = int(data["t"][0])
+    periods = np.arange(start, start + len(data))
+    values = np.ascontiguousarray(data["v"])
+    # Periods that run past int64 come out as floats, which would equate distinct periods.
+    dense = periods.dtype == np.int64 and np.array_equal(data["t"], periods)
+    if first_period not in (None, start) or not dense:
+        raise ValueError("periods do not run densely from the first period")
+    if not np.isfinite(values).all():
+        raise ValueError("a cell is not finite")
+    return periods, values
+
+
+def _stream_values(path, header, rows, table) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and cells of a table from its ``_read_table`` rows, converted by ``float()``.
 
     Each row's cells pass through ``map(float, ...)`` into one flat array,
     and finiteness is checked once, on that array. The pass keeps no cell
     text or line, so on any failure the file is read again (``table``
     holds its ``_read_table`` arguments) to report the first bad cell.
-    Returns the periods and the (rows, cells) values.
     """
     try:
         first = next(rows, None)
@@ -284,7 +368,7 @@ def _raise_first_bad_cell(path, table, failure=None, rule=None):
     optional ``(misfit, message)`` pair: a row for which ``misfit(t, row)``
     holds is an error with that message.
     """
-    with _read_table(path, **table) as (_, header, _, rows):
+    with _read_table(path, **table) as (_, header, _, rows, _):
         for at, t, cells in rows:
             row = [_parse_float(cell, path, at, label) for cell, label in zip(cells, header[1:])]
             if rule is not None and rule[0](t, row):
@@ -336,7 +420,7 @@ def parse_mapping(path, channel_labels, catalog=None) -> CompetencyMapping:
             raise ParseError(str(exc), source=path, line=at) from None
         return value
 
-    with _read_table(path, ("budget", "cost")) as (line, header, found, rows):
+    with _read_table(path, ("budget", "cost")) as (line, header, found, rows, _):
         for at, name, value in found:
             if name == "budget":
                 if budget is not None:
@@ -452,7 +536,7 @@ def write_comparison_table(path, comparison: RegimeComparison, totals=None) -> P
 def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, float] | None]:
     """Parse a comparison table into a RegimeComparison and its ``# totals:`` triple or None."""
     totals = None
-    with _read_table(path, ("totals",)) as (line, header, found, rows):
+    with _read_table(path, ("totals",)) as (line, header, found, _, rest):
         for at, _, value in found:
             if totals is not None:
                 raise ParseError("duplicate totals directive", source=path, line=at)
@@ -463,7 +547,7 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
         if header != COMPARISON_HEADER:
             message = f"header must be {','.join(COMPARISON_HEADER)}"
             raise ParseError(message, source=path, line=line)
-        periods, values = _read_values(path, header, rows, dict(directives=("totals",)))
+        periods, values = _read_values(path, header, rest, dict(directives=("totals",)))
     return RegimeComparison(periods, *values.T), totals
 
 
@@ -484,11 +568,11 @@ def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.nd
     """
     if k is not None:
         _check_window_length(k)
-    with _read_table(path) as (line, header, _, rows):
+    with _read_table(path) as (line, header, _, _, rest):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
-        periods, values = _read_values(path, header, rows, {})
+        periods, values = _read_values(path, header, rest, {})
     if k is None:
         return periods, values[:, -1].copy()
     first = periods[0] if periods.size else k + 1

@@ -1,0 +1,279 @@
+"""The two converters of numeric tables: numpy's C reader and the streamed path.
+
+Plain numeric data rows go through one ``np.loadtxt`` call; anything else
+is read again by the streamed ``float()`` converter, which is the
+reference. These tests check that both give the same arrays or the same
+error, and that each path is really taken where it should be.
+"""
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import regimetrics.io as rio
+from regimetrics import (
+    EnterpriseModel,
+    MappedSeries,
+    ParseError,
+    compare_regimes,
+    indicator_series,
+    load_reference,
+    parse_events,
+)
+from regimetrics.io import (
+    read_comparison_table,
+    read_indicator_column,
+    write_comparison_table,
+    write_events,
+    write_indicator_table,
+    write_plot_data,
+)
+
+PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# --- the grammar of a table file ---------------------------------------------
+
+FORMATS = (repr, "{:.17g}".format, "{:.6E}".format, "{:f}".format)
+PLAIN_CELLS = st.one_of(
+    st.builds(
+        lambda x, form: form(x),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(FORMATS),
+    ),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["+1", "01", "-0", ".5", "5.", "-.5e-3", "1E5", " 2.5 ", "1e-400"]),
+)
+ODD_CELLS = st.sampled_from(
+    [
+        "425\x1c", "\x1f3", "\x1c1.5\x1d", "\x1e2", "1_0", "٣", '"1.5"', '"1,5"',
+        "1e400", "-1e400", "nan", "inf", "", " ", "1 2", "0x10", "1e", ".", "-", "+-1",
+        "\t2", "3\x0b", "#1", "1.0", "1e0", "+1", "01", "9223372036854775808",
+        "-9223372036854775809",
+    ]
+)
+CONTROL = st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"])
+# Each mutation is applied at (row, column) positions taken modulo the table's size.
+INDEX = st.integers(0, 99)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cell"), INDEX, INDEX, st.one_of(ODD_CELLS, PLAIN_CELLS)),
+    st.tuples(st.just("wrap"), INDEX, INDEX, CONTROL, st.sampled_from(["before", "after"])),
+    st.tuples(
+        st.just("period"), INDEX, st.sampled_from(["1.0", "2**63", "+", "0", "-1", "dup", "gap"])
+    ),
+    st.tuples(st.just("ending"), INDEX, st.sampled_from(["\r\n", "\r"])),
+    st.tuples(st.just("insert"), INDEX, st.sampled_from(["", "   ", "\t", " , "])),
+    st.tuples(st.just("trailing comma"), INDEX),
+    st.tuples(st.just("drop cell"), INDEX),
+    st.tuples(st.just("crlf"),),
+)
+
+
+def headers(kind, width):
+    """Plain, quoted and quoted two-line headers for a reader and a data width."""
+    if kind == "comparison":
+        return ["t,v_basic,v_ddescr,dv", 't,"v_basic",v_ddescr,dv', 't,"v_\nbasic",v_ddescr,dv']
+    labels = [f"c{j}" for j in range(1, width + 1)]
+    if kind != "events":
+        labels[-1] = "total" if width > 1 else "v_total"
+    two_line = f't,"{labels[0]}\nx",{",".join(labels[1:])}'.rstrip(",")
+    return [",".join(["t", *labels]), f'"t",{",".join(labels)}', two_line]
+
+
+@st.composite
+def table_texts(draw, kind):
+    width = 3 if kind == "comparison" else draw(st.integers(1, 3))
+    # Periods from 2**63 - 3 run past int64, where numpy's own periods turn to floats.
+    first = 1 if kind == "events" else draw(st.sampled_from([*range(-3, 13), 2**63 - 3]))
+    n = draw(st.integers(0, 6))
+    cells = st.lists(PLAIN_CELLS, min_size=width, max_size=width)
+    rows = [[str(first + i), *draw(cells)] for i in range(n)]
+    endings = ["\n"] * n
+    extra = []  # (before row, line) pairs
+    for mutation in draw(st.lists(MUTATIONS, max_size=3)):
+        name, *args = mutation
+        if name == "crlf":
+            endings = ["\r\n"] * n
+        elif name == "insert":
+            extra.append((args[0] % (n + 1), args[1]))
+        elif n == 0:
+            continue
+        elif name == "ending":
+            endings[args[0] % n] = args[1]
+        elif name == "trailing comma":
+            rows[args[0] % n].append("")
+        elif not rows[args[0] % n]:
+            continue  # every cell of this row was dropped
+        elif name == "drop cell":
+            rows[args[0] % n].pop()
+        elif name == "cell":
+            row = rows[args[0] % n]
+            row[args[1] % len(row)] = args[2]
+        elif name == "wrap":
+            row, (column, char, side) = rows[args[0] % n], args[1:]
+            column %= len(row)
+            row[column] = char + row[column] if side == "before" else row[column] + char
+        elif name == "period":
+            at, token = args[0] % n, args[1]
+            shift = {"dup": -1, "gap": 1}.get(token)
+            if token == "2**63":
+                token = str(2**63)
+            elif shift is not None:
+                token = str(first + at + shift)
+            rows[at][0] = token
+    preamble_lines = st.sampled_from(["", "   ", "# totals: 1,2,3", "# totals: 4, 5 ,6"])
+    preamble = draw(st.lists(preamble_lines, max_size=2))
+    header = draw(st.sampled_from(headers(kind, width)))
+    lines = [line + "\n" for line in preamble] + [header + draw(st.sampled_from(["\n", "\r\n"]))]
+    for i, (row, ending) in enumerate(zip(rows, endings)):
+        lines += [line + "\n" for at, line in extra if at == i]
+        lines.append(",".join(row) + ending)
+    lines += [line + "\n" for at, line in extra if at == n]
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+# --- the two paths -----------------------------------------------------------
+
+
+def arrays(kind, result):
+    if kind == "events":
+        return [result.events, np.array(result.channel_labels)]
+    if kind == "comparison":
+        comparison, totals = result
+        columns = (comparison.periods, comparison.basic, comparison.treated, comparison.delta)
+        return [*columns, np.array(totals if totals is not None else [])]
+    return list(result)
+
+
+READERS = {
+    "events": parse_events,
+    "comparison": read_comparison_table,
+    "indicator": read_indicator_column,
+    "indicator, window 2": lambda path: read_indicator_column(path, 2),
+}
+
+
+def outcome(kind, path):
+    """The arrays as (dtype, shape, bytes), or the error as (type, text, line)."""
+    try:
+        result = READERS[kind](path)
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays(kind.split(",")[0], result)]
+
+
+def streamed_outcome(kind, path):
+    with mock.patch.object(rio, "_load_plain", side_effect=ValueError("streamed path forced")):
+        return outcome(kind, path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@PROPERTY
+@given(data=st.data())
+def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
+    text = data.draw(table_texts(kind.split(",")[0]), label="text")
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(kind, path) == streamed_outcome(kind, path)
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("events", "t,a\n1,425\x1c\n"),
+        ("events", "t,a\n\x1f1,2.0\n"),
+        ("events", "t,a\n1,1_0\n"),
+        ("events", "t,a\n1.0,2.0\n"),
+        ("events", "t,a\n1,٣\n"),
+        # a duplicate period where periods past int64 would be compared as floats
+        ("indicator", f"t,v_total\n{2**63 - 3},1\n{2**63 - 2},1\n{2**63 - 2},1\n"),
+    ],
+)
+def test_tables_loadtxt_reads_unlike_the_streamed_path_take_it(tmp_path, kind, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = streamed_outcome(kind, path)
+    with mock.patch.object(rio, "_stream_values", wraps=rio._stream_values) as streamed:
+        assert outcome(kind, path) == expected
+    assert streamed.call_count == 1
+
+
+# --- which path is taken -----------------------------------------------------
+
+EDGE_VALUES = [-0.0, 0.0, 1e16, 5e-324, 1e308, 1.0 / 3.0, -2.5e-310, 123456789.125, 0.1]
+
+
+def edge_matrix(t_max, n):
+    rng = np.random.RandomState(23)
+    values = np.abs(rng.randn(t_max, n)) * 10.0 ** rng.randint(-300, 300, size=(t_max, n))
+    values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    return values
+
+
+def written_tables(directory):
+    """Each writer's output, its kind in READERS and the arrays its reader must return."""
+    labels = ("a", "b", "c", "d")
+    model = EnterpriseModel(events=edge_matrix(30, 4), channel_labels=labels)
+    rng = np.random.RandomState(5)
+    basic, treated = (
+        indicator_series(MappedSeries(values=50 + 20 * rng.rand(30, 4), channel_labels=labels), 4)
+        for _ in range(2)
+    )
+    comparison = compare_regimes(basic, treated)
+    totals = (1.0 / 3.0, -0.0, 1e308)
+    column = [treated.periods, treated.per_period_totals()]
+    return [
+        (write_events(model, directory / "events.csv"), "events", [model.events, np.array(labels)]),
+        (write_indicator_table(treated, directory / "indicators.csv"), "indicator", column),
+        (write_plot_data(directory / "plot.csv", *column), "indicator", column),
+        (
+            write_comparison_table(directory / "comparison.csv", comparison, totals),
+            "comparison",
+            arrays("comparison", (comparison, totals)),
+        ),
+    ]
+
+
+def assert_read_bits(kind, path, expected):
+    got = arrays(kind, READERS[kind](path))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_writer_outputs_and_bundled_reference_take_the_fast_path(tmp_path, monkeypatch):
+    tables = written_tables(tmp_path)
+    monkeypatch.setattr(rio, "_stream_values", mock.Mock(side_effect=AssertionError("streamed")))
+    for path, kind, expected in tables:
+        assert_read_bits(kind, path, expected)
+    comparison, totals = load_reference()
+    assert comparison.periods.tolist() == list(range(1, 58))
+    assert totals == (5069.93, 5491.28, 421.35)
+
+
+def test_crlf_copies_take_the_streamed_path(tmp_path, monkeypatch):
+    streamed = mock.Mock(wraps=rio._stream_values)
+    monkeypatch.setattr(rio, "_stream_values", streamed)
+    for path, kind, expected in written_tables(tmp_path):
+        crlf = path.with_name(f"crlf-{path.name}")
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        calls = streamed.call_count
+        assert_read_bits(kind, crlf, expected)
+        assert streamed.call_count == calls + 1
+
+
+def test_header_only_event_file_raises_without_a_warning(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("t,a,b\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=r"no data rows \(t_max = 0\)"):
+            parse_events(path)
+    assert caught == []
