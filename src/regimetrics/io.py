@@ -29,7 +29,12 @@ The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
 written atomically (write to a temporary file in the same directory,
 then rename) and byte-identical across repeated runs with identical
-inputs.
+inputs. ``_write_table`` formats a numeric block of at least
+``_SPLIT_CELLS`` (65,536) cells on two cores: one forked child formats
+the second half of the rows into an anonymous temporary file, which is
+appended after the first half. Without ``os.fork``, or when the fork or
+the child fails, this process formats those rows itself, so the bytes
+are those of the serial loop either way.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import itertools
 import json
 import math
 import os
+import shutil
+import signal
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -63,8 +70,12 @@ COMPARISON_HEADER = ("t", "v_basic", "v_ddescr", "dv")
 PLOT_HEADER = ("t", "v_total")
 MAPPING_HEADER = ("competency_id", "channel_label", "flag")
 TOTAL_COLUMNS = ("total", "v_total")
+# Periods are int64 arrays, so a period outside this range is an error at its line.
+_INT64 = np.iinfo(np.int64)
 # Cells that _write_table holds as Python floats (about 30 bytes each) at once.
 _WRITE_BLOCK_CELLS = 1 << 15
+# Cells from which _write_table forks a child for half the rows (fork and reap: about 2.4 ms).
+_SPLIT_CELLS = 1 << 16
 
 
 def fmt(value: float) -> str:
@@ -190,6 +201,9 @@ def _read_table(path, directives=(), first_period=None):
                         raise ParseError(f"duplicate period {t}", source=path, line=line)
                     message = f"period {t} precedes the first period {start}"
                     raise ParseError(message, source=path, line=line)
+                if not _INT64.min <= t <= _INT64.max:
+                    message = f"period {t} is outside the int64 range"
+                    raise ParseError(message, source=path, line=line)
                 expected += 1
                 yield line, t, row[1:]
 
@@ -212,20 +226,70 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
     round-trip repr: the bytes ``csv`` writes for ``fmt`` cells, which
     never need quoting. Lines go to the file a block of rows at a time,
     so no copy of the whole text is held.
+
+    A ``values`` block of ``_SPLIT_CELLS`` cells or more is formatted by
+    two processes: a forked child writes the second half of the rows to an
+    anonymous file in the output directory, appended after this process's
+    first half. Without ``os.fork``, or if the fork or the child fails, this
+    process formats those rows too, so the bytes and errors are the serial
+    loop's.
     """
     with _atomic_open(path) as handle:
         handle.writelines(f"# {name}: {value}\n" for name, value in directives)
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        if values is not None:
-            periods = np.asarray(periods).astype(int).tolist()
-            values = np.asarray(values, dtype=float)
-            step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
-            for start in range(0, len(values), step):
-                block = zip(periods[start : start + step], values[start : start + step].tolist())
-                handle.write("".join([f"{t},{','.join(map(repr, row))}\n" for t, row in block]))
+        if values is None:
+            return Path(path)
+        periods = np.asarray(periods).astype(int).tolist()
+        values = np.asarray(values, dtype=float)
+        if values.size < _SPLIT_CELLS or not hasattr(os, "fork"):
+            handle.writelines(_row_text(periods, values))
+            return Path(path)
+        mid = len(values) // 2
+        with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork in a threaded process (numpy's BLAS threads). The
+                # child takes no lock they could hold: it formats floats into its own file.
+                warnings.filterwarnings(
+                    "ignore", "This process .* is multi-threaded", DeprecationWarning
+                )
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare, at a process limit say: the serial loop
+                    handle.writelines(_row_text(periods, values))
+                    return Path(path)
+            if not pid:  # the child leaves only through os._exit, never into the caller
+                code = 1
+                try:
+                    tail.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
+                    tail.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            status = None
+            try:
+                handle.writelines(_row_text(periods[:mid], values[:mid]))
+                status = os.waitpid(pid, 0)[1]
+            finally:
+                if status is None:  # this process failed: the child must not outlive the call
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            if status:  # the child failed: its rows are formatted here, as by the serial loop
+                handle.writelines(_row_text(periods[mid:], values[mid:]))
+            else:
+                handle.flush()
+                tail.seek(0)
+                shutil.copyfileobj(tail, handle.buffer)
     return Path(path)
+
+
+def _row_text(periods, values):
+    """Text of the value rows, a block of ``_WRITE_BLOCK_CELLS`` cells at a time."""
+    step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
+    for start in range(0, len(values), step):
+        block = zip(periods[start : start + step], values[start : start + step].tolist())
+        yield "".join([f"{t},{','.join(map(repr, row))}\n" for t, row in block])
 
 
 # --- event series ----------------------------------------------------------
@@ -328,11 +392,10 @@ def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
             ndmin=1,
         )
     start = int(data["t"][0])
-    periods = np.arange(start, start + len(data))
+    # Cut at the int64 limit, so rows that run past it are never dense.
+    periods = np.arange(start, min(start + len(data), _INT64.max + 1), dtype=np.int64)
     values = np.ascontiguousarray(data["v"])
-    # Periods that run past int64 come out as floats, which would equate distinct periods.
-    dense = periods.dtype == np.int64 and np.array_equal(data["t"], periods)
-    if first_period not in (None, start) or not dense:
+    if first_period not in (None, start) or not np.array_equal(data["t"], periods):
         raise ValueError("periods do not run densely from the first period")
     if not np.isfinite(values).all():
         raise ValueError("a cell is not finite")
@@ -358,7 +421,7 @@ def _stream_values(path, header, rows, table) -> tuple[np.ndarray, np.ndarray]:
         _raise_first_bad_cell(path, table)
     values = values.reshape(-1, len(header) - 1)
     start = first[1] if first else 1
-    return np.arange(start, start + len(values)), values
+    return np.arange(start, start + len(values), dtype=np.int64), values
 
 
 def _raise_first_bad_cell(path, table, failure=None, rule=None):

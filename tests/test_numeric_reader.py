@@ -207,6 +207,34 @@ def test_tables_loadtxt_reads_unlike_the_streamed_path_take_it(tmp_path, kind, t
     assert streamed.call_count == 1
 
 
+def test_last_int64_period_reads_back_exactly_on_both_paths(tmp_path):
+    path = tmp_path / "comparison.csv"
+    path.write_text(f"t,v_basic,v_ddescr,dv\n{2**63 - 2},1,3,2\n{2**63 - 1},1,3,2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, streamed = outcome("comparison", path), streamed_outcome("comparison", path)
+    assert fast == streamed
+    periods = np.array([2**63 - 2, 2**63 - 1], dtype=np.int64)
+    assert fast[0] == (periods.dtype.str, periods.shape, periods.tobytes())
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        ([2**63 - 1, 2**63], 3, f"period {2**63} is outside the int64 range"),
+        ([-(2**63) - 1, -(2**63)], 2, f"period {-(2**63) - 1} is outside the int64 range"),
+        # int64 arithmetic would wrap 2**63 - 1 + 1 to this period
+        ([2**63 - 1, -(2**63)], 3, f"period {-(2**63)} precedes the first period {2**63 - 1}"),
+    ],
+)
+def test_period_outside_int64_is_an_error_at_its_line_on_both_paths(tmp_path, rows, line, message):
+    path = tmp_path / "comparison.csv"
+    path.write_text("t,v_basic,v_ddescr,dv\n" + "".join(f"{t},1,3,2\n" for t in rows))
+    expected = ("error", "ParseError", f"{path}:{line}: {message}", line)
+    assert outcome("comparison", path) == expected
+    assert streamed_outcome("comparison", path) == expected
+
+
 # --- which path is taken -----------------------------------------------------
 
 EDGE_VALUES = [-0.0, 0.0, 1e16, 5e-324, 1e308, 1.0 / 3.0, -2.5e-310, 123456789.125, 0.1]
