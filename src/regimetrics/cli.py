@@ -15,18 +15,30 @@ as a 2-decimal printing (0.02 slack per row, 0.3 per column sum, total
 delta in cents); any other table must add up exactly. Every command exits
 0 on success and nonzero with a diagnostic on any error;
 ``verify-reference`` exits nonzero if any check fails.
+
+A CLI process runs one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is
+set, and takes its parallelism from forked processes: ``compare``
+computes the treated regime in a child while it computes the basic one,
+and large tables are formatted in two halves (see ``io._forked``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 from pathlib import Path
+
+# Set before the imports below load numpy, whose OpenBLAS reads it once. The per-period
+# products are too small to gain from BLAS threads; the second core goes to a forked child.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .catalog import default_catalog, load_catalog
 from .engine import DEFAULT_WINDOW, compare_regimes, indicator_series
 from .errors import InsufficientHistoryError, RegimetricsError, ValidationError
 from .io import (
+    _forked,
     emit_report,
     is_indicator_output,
     parse_events,
@@ -165,8 +177,17 @@ def _regime_column(path: Path, k: int, mode: str):
 
 
 def _cmd_compare(args) -> int:
-    basic = _regime_column(args.basic, args.window, args.mode)
-    treated = _regime_column(args.treated, args.window, args.mode)
+    def treated_column(out):
+        pickle.dump(_regime_column(args.treated, args.window, args.mode), out)
+
+    # The regimes are independent: a forked child computes the treated one meanwhile.
+    with _forked(treated_column) as collect:
+        basic = _regime_column(args.basic, args.window, args.mode)
+        out = collect()
+        if out is None:  # no child, or it failed: computed here, so any error is the serial one
+            treated = _regime_column(args.treated, args.window, args.mode)
+        else:
+            treated = pickle.load(out)  # an anonymous file only this process and its child hold
     try:
         comparison = compare_regimes(basic, treated)
     except ValidationError as exc:

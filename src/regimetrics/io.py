@@ -30,11 +30,12 @@ are serialized with full round-trip precision (shortest repr); files are
 written atomically (write to a temporary file in the same directory,
 then rename) and byte-identical across repeated runs with identical
 inputs. ``_write_table`` formats a numeric block of at least
-``_SPLIT_CELLS`` (65,536) cells on two cores: one forked child formats
-the second half of the rows into an anonymous temporary file, which is
-appended after the first half. Without ``os.fork``, or when the fork or
-the child fails, this process formats those rows itself, so the bytes
-are those of the serial loop either way.
+``_SPLIT_CELLS`` (65,536) cells in two processes (``_forked``): one
+forked child formats the second half of the rows into an anonymous
+temporary file, which is appended after the first half. Where no child
+can start, or the child fails, this process formats those rows itself,
+so the bytes are those of the serial loop either way. Files get the
+permissions ``open(path, "w")`` would give: 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import shutil
 import signal
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,14 @@ def _atomic_open(path):
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        # mkstemp would create the file 0600; 0666 lets the umask decide, as open() does.
+        tmp_name = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+        try:
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -228,11 +236,10 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
     so no copy of the whole text is held.
 
     A ``values`` block of ``_SPLIT_CELLS`` cells or more is formatted by
-    two processes: a forked child writes the second half of the rows to an
-    anonymous file in the output directory, appended after this process's
-    first half. Without ``os.fork``, or if the fork or the child fails, this
-    process formats those rows too, so the bytes and errors are the serial
-    loop's.
+    two processes (see ``_forked``): a child writes the second half of the
+    rows to an anonymous file in the output directory, appended after this
+    process's first half. Without a child, this process formats those rows
+    too, so the bytes and errors are the serial loop's.
     """
     with _atomic_open(path) as handle:
         handle.writelines(f"# {name}: {value}\n" for name, value in directives)
@@ -243,45 +250,77 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
             return Path(path)
         periods = np.asarray(periods).astype(int).tolist()
         values = np.asarray(values, dtype=float)
-        if values.size < _SPLIT_CELLS or not hasattr(os, "fork"):
+        if values.size < _SPLIT_CELLS:
             handle.writelines(_row_text(periods, values))
             return Path(path)
         mid = len(values) // 2
-        with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on fork in a threaded process (numpy's BLAS threads). The
-                # child takes no lock they could hold: it formats floats into its own file.
-                warnings.filterwarnings(
-                    "ignore", "This process .* is multi-threaded", DeprecationWarning
-                )
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare, at a process limit say: the serial loop
-                    handle.writelines(_row_text(periods, values))
-                    return Path(path)
-            if not pid:  # the child leaves only through os._exit, never into the caller
-                code = 1
-                try:
-                    tail.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
-                    tail.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            status = None
-            try:
-                handle.writelines(_row_text(periods[:mid], values[:mid]))
-                status = os.waitpid(pid, 0)[1]
-            finally:
-                if status is None:  # this process failed: the child must not outlive the call
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            if status:  # the child failed: its rows are formatted here, as by the serial loop
+
+        def second_half(out):
+            out.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
+
+        with _forked(second_half, dir=Path(path).parent) as collect:
+            handle.writelines(_row_text(periods[:mid], values[:mid]))
+            tail = collect()
+            if tail is None:
                 handle.writelines(_row_text(periods[mid:], values[mid:]))
             else:
                 handle.flush()
-                tail.seek(0)
                 shutil.copyfileobj(tail, handle.buffer)
     return Path(path)
+
+
+@contextmanager
+def _forked(task, dir=None):
+    """Run ``task(out)`` in a forked child while the ``with`` block runs here.
+
+    ``out`` is an anonymous binary temporary file in ``dir`` that the
+    child writes its result to. The block gets ``collect``: it waits for
+    the child and returns ``out`` at its start, or ``None`` if there was
+    no child (no fork on the platform, or the file or the fork was
+    refused) or the child failed. On ``None`` the caller does the child's share itself,
+    so results and errors are those of the serial order. The child leaves
+    only through ``os._exit``, so it never returns into the caller nor
+    flushes this process's buffered output. If the block raises before
+    ``collect`` has returned, the child is killed and reaped.
+    """
+    pid = status = None
+
+    def collect():
+        nonlocal status
+        if pid is None:
+            return None
+        status = os.waitpid(pid, 0)[1]
+        if status:
+            return None
+        out.seek(0)
+        return out
+
+    with ExitStack() as stack:
+        # No fork on the platform (AttributeError), or no room for the file or no process
+        # to spare (OSError): pid stays None.
+        with warnings.catch_warnings(), suppress(AttributeError, OSError):
+            # Python 3.12+ warns on fork in a threaded process, numpy's BLAS threads for one.
+            # OpenBLAS stops its threads before a fork and starts them again on the next
+            # BLAS call, and a CLI process runs one BLAS thread anyway (see regimetrics.cli).
+            warnings.filterwarnings(
+                "ignore", "This process .* is multi-threaded", DeprecationWarning
+            )
+            out = stack.enter_context(tempfile.TemporaryFile(dir=dir))
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                task(out)
+                out.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            yield collect
+        finally:
+            if pid is not None and status is None:  # the child must not outlive the block
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _row_text(periods, values):

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -374,6 +376,21 @@ def test_atomic_write_replaces_existing(tmp_path, make_series):
     emit_report(target, **report)
     assert (target / "indicators.csv").read_bytes() == before
     assert not list(target.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_the_mode_the_umask_allows(tmp_path, make_series, umask, mode):
+    report, _ = indicator_report(make_series)
+    series = make_series(5, 12, 3)
+    events = EnterpriseModel(events=series.values, channel_labels=series.channel_labels)
+    old = os.umask(umask)
+    try:
+        paths = [*emit_report(tmp_path / "out", **report), write_events(events, tmp_path / "e.csv")]
+    finally:
+        os.umask(old)
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in paths} == {
+        path.name: mode for path in paths
+    }
 
 
 # --- shared table reader and the kind rule -----------------------------------
