@@ -53,52 +53,4 @@ def __dir__():
     return sorted({*globals(), *_EXPORTS})
 
 
-__all__ = [
-    "BudgetError",
-    "BudgetReport",
-    "CompetencyMapping",
-    "CorrelationMatrix",
-    "DEFAULT_WINDOW",
-    "DescriptorCatalog",
-    "DescriptorEntry",
-    "EnterpriseModel",
-    "IndicatorSeries",
-    "InsufficientHistoryError",
-    "InvalidWindowError",
-    "MappedSeries",
-    "MODES",
-    "ParseError",
-    "Pcg32",
-    "ProcessConfig",
-    "RAW",
-    "ReferenceCheck",
-    "RegimeComparison",
-    "RegimetricsError",
-    "STANDARDIZED",
-    "ScenarioConfig",
-    "ValidationError",
-    "VerificationReport",
-    "apply_mapping",
-    "check_budget",
-    "compare_regimes",
-    "default_catalog",
-    "emit_report",
-    "generate_series",
-    "indicator_series",
-    "integral_indicator",
-    "load_catalog",
-    "load_reference",
-    "naive_oracle",
-    "paired_scenarios",
-    "parse_events",
-    "parse_mapping",
-    "parse_scenario",
-    "save_catalog",
-    "verify_bundled_reference",
-    "verify_reference",
-    "window_correlation",
-    "write_events",
-    "write_mapping",
-    "write_scenario",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -17,28 +17,27 @@ delta in cents); any other table must add up exactly. Every command exits
 ``verify-reference`` exits nonzero if any check fails.
 
 A CLI process runs one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is
-set, and takes its parallelism from forked processes: ``compare``
-computes the treated regime in a child while it computes the basic one,
-and large tables are formatted in two halves (see ``io._forked``).
+set, and takes its parallelism from forked processes: a long indicator
+run computes the second half of its periods in a child, and large
+tables are formatted in two halves (see ``_fork.forked``).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 from pathlib import Path
 
 # Set before the imports below load numpy, whose OpenBLAS reads it once. The per-period
 # products are too small to gain from BLAS threads; the second core goes to a forked child.
+# Importing this module sets it for the whole process and the processes it starts.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .catalog import default_catalog, load_catalog
 from .engine import DEFAULT_WINDOW, compare_regimes, indicator_series
 from .errors import InsufficientHistoryError, RegimetricsError, ValidationError
 from .io import (
-    _forked,
     emit_report,
     is_indicator_output,
     parse_events,
@@ -51,6 +50,9 @@ from .io import (
 from .model import MODES, RAW, MappedSeries, apply_mapping, check_budget
 from .reference import verify_bundled_reference, verify_reference
 from .synth import paired_scenarios
+
+# A long indicator run hands the second half of its periods to a forked child.
+_PROCESSES = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,7 +152,7 @@ def _cmd_analyze(args) -> int:
             print(f"masked channels: {masked}")
     else:
         series = MappedSeries.from_model(model)
-    indicators = indicator_series(series, args.window, args.mode)
+    indicators = indicator_series(series, args.window, args.mode, processes=_PROCESSES)
     _emit(args, indicators=indicators)
     print(f"total indicator: {indicators.total!r}")
     return 0
@@ -170,24 +172,17 @@ def _regime_column(path: Path, k: int, mode: str):
         return read_indicator_column(path, k)
     model = parse_events(path)
     try:
-        indicators = indicator_series(MappedSeries.from_model(model), k, mode)
+        indicators = indicator_series(
+            MappedSeries.from_model(model), k, mode, processes=_PROCESSES
+        )
     except InsufficientHistoryError as exc:
         raise InsufficientHistoryError(f"{path}: {exc}") from None
     return indicators.periods, indicators.per_period_totals()
 
 
 def _cmd_compare(args) -> int:
-    def treated_column(out):
-        pickle.dump(_regime_column(args.treated, args.window, args.mode), out)
-
-    # The regimes are independent: a forked child computes the treated one meanwhile.
-    with _forked(treated_column) as collect:
-        basic = _regime_column(args.basic, args.window, args.mode)
-        out = collect()
-        if out is None:  # no child, or it failed: computed here, so any error is the serial one
-            treated = _regime_column(args.treated, args.window, args.mode)
-        else:
-            treated = pickle.load(out)  # an anonymous file only this process and its child hold
+    basic = _regime_column(args.basic, args.window, args.mode)
+    treated = _regime_column(args.treated, args.window, args.mode)
     try:
         comparison = compare_regimes(basic, treated)
     except ValidationError as exc:

@@ -30,7 +30,7 @@ are serialized with full round-trip precision (shortest repr); files are
 written atomically (write to a temporary file in the same directory,
 then rename) and byte-identical across repeated runs with identical
 inputs. ``_write_table`` formats a numeric block of at least
-``_SPLIT_CELLS`` (65,536) cells in two processes (``_forked``): one
+``_SPLIT_CELLS`` (65,536) cells in two processes (``_fork.forked``): one
 forked child formats the second half of the rows into an anonymous
 temporary file, which is appended after the first half. Where no child
 can start, or the child fails, this process formats those rows itself,
@@ -47,14 +47,13 @@ import json
 import math
 import os
 import shutil
-import signal
-import tempfile
 import warnings
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import forked
 from .engine import IndicatorSeries, RegimeComparison
 from .errors import ParseError, ValidationError, not_utf8
 from .model import (
@@ -236,7 +235,7 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
     so no copy of the whole text is held.
 
     A ``values`` block of ``_SPLIT_CELLS`` cells or more is formatted by
-    two processes (see ``_forked``): a child writes the second half of the
+    two processes (see ``_fork.forked``): a child writes the second half of the
     rows to an anonymous file in the output directory, appended after this
     process's first half. Without a child, this process formats those rows
     too, so the bytes and errors are the serial loop's.
@@ -258,7 +257,7 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
         def second_half(out):
             out.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
 
-        with _forked(second_half, dir=Path(path).parent) as collect:
+        with forked(second_half, dir=Path(path).parent) as collect:
             handle.writelines(_row_text(periods[:mid], values[:mid]))
             tail = collect()
             if tail is None:
@@ -267,60 +266,6 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
                 handle.flush()
                 shutil.copyfileobj(tail, handle.buffer)
     return Path(path)
-
-
-@contextmanager
-def _forked(task, dir=None):
-    """Run ``task(out)`` in a forked child while the ``with`` block runs here.
-
-    ``out`` is an anonymous binary temporary file in ``dir`` that the
-    child writes its result to. The block gets ``collect``: it waits for
-    the child and returns ``out`` at its start, or ``None`` if there was
-    no child (no fork on the platform, or the file or the fork was
-    refused) or the child failed. On ``None`` the caller does the child's share itself,
-    so results and errors are those of the serial order. The child leaves
-    only through ``os._exit``, so it never returns into the caller nor
-    flushes this process's buffered output. If the block raises before
-    ``collect`` has returned, the child is killed and reaped.
-    """
-    pid = status = None
-
-    def collect():
-        nonlocal status
-        if pid is None:
-            return None
-        status = os.waitpid(pid, 0)[1]
-        if status:
-            return None
-        out.seek(0)
-        return out
-
-    with ExitStack() as stack:
-        # No fork on the platform (AttributeError), or no room for the file or no process
-        # to spare (OSError): pid stays None.
-        with warnings.catch_warnings(), suppress(AttributeError, OSError):
-            # Python 3.12+ warns on fork in a threaded process, numpy's BLAS threads for one.
-            # OpenBLAS stops its threads before a fork and starts them again on the next
-            # BLAS call, and a CLI process runs one BLAS thread anyway (see regimetrics.cli).
-            warnings.filterwarnings(
-                "ignore", "This process .* is multi-threaded", DeprecationWarning
-            )
-            out = stack.enter_context(tempfile.TemporaryFile(dir=dir))
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                task(out)
-                out.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            yield collect
-        finally:
-            if pid is not None and status is None:  # the child must not outlive the block
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _row_text(periods, values):

@@ -1,10 +1,11 @@
-"""Parallelism from processes: ``compare`` forks a child for the treated regime,
-and a CLI process runs one BLAS thread.
+"""Parallelism from processes: a long indicator run computes the second half
+of its periods in a forked child, and a CLI process runs one BLAS thread.
 
-The serial order is the reference: with ``os.fork`` deleted, ``compare``
-computes the basic regime and then the treated one in this process. With
-the fork, the outputs, stdout and errors must be the same, and no child
-may outlive the command.
+The serial run is the reference: ``processes=1``, or ``os.fork`` deleted.
+With the fork, the rows, outputs, stdout and errors must be the same, and
+no child may outlive the call. The thresholds are lowered so that the
+small series here are split: one period per chunk, and any run worth a
+second process.
 """
 
 import json
@@ -15,10 +16,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import regimetrics
 import regimetrics.cli as cli
+import regimetrics.engine as engine
+from regimetrics import EnterpriseModel, MappedSeries, ValidationError, indicator_series
 
 SCENARIO = {
     "seed": 7,
@@ -39,6 +43,165 @@ def run(argv):
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """Count the forks this process makes."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pids.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture
+def split(monkeypatch, forks):
+    """Split every run of two periods or more at its middle period; count the forks."""
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def random_series(periods, channels, seed=0):
+    values = np.random.default_rng(seed).normal(100.0, 10.0, size=(periods, channels))
+    labels = tuple(f"c{j}" for j in range(channels))
+    return MappedSeries.from_model(EnterpriseModel(events=values, channel_labels=labels))
+
+
+# --- the kernel ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["raw", "standardized"])
+@pytest.mark.parametrize("periods, channels", [(7, 1), (8, 3), (9, 3), (40, 5)])
+def test_two_processes_give_the_serial_bits(split, mode, periods, channels):
+    series = random_series(periods, channels)
+    serial = indicator_series(series, 5, mode)
+    assert split == []
+    two = indicator_series(series, 5, mode, processes=2)
+    assert split == [os.getpid()]
+    assert two.values.tobytes() == serial.values.tobytes()
+    assert np.array_equal(two.periods, serial.periods)
+    assert_no_child_left()
+
+
+def test_the_split_falls_on_a_chunk_boundary(monkeypatch, forks):
+    # Chunks of the default size: 141 periods of 50 channels at k = 12.
+    monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
+    series = random_series(700, 50)
+    serial = indicator_series(series, 12, "standardized")
+    two = indicator_series(series, 12, "standardized", processes=2)
+    assert forks == [os.getpid()]
+    assert two.values.tobytes() == serial.values.tobytes()
+    assert_no_child_left()
+
+
+def test_short_runs_and_one_period_stay_in_one_process(monkeypatch, forks):
+    indicator_series(random_series(40, 5), 5, "raw", processes=2)  # under _SPLIT_MACS
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
+    indicator_series(random_series(6, 3), 5, "raw", processes=2)  # one period: no half
+    assert forks == []
+
+
+@pytest.mark.parametrize("processes", [0, 3, 1.5])
+def test_processes_is_one_or_two(processes):
+    with pytest.raises(ValidationError, match="processes must be 1 or 2"):
+        indicator_series(random_series(8, 2), 5, "raw", processes=processes)
+
+
+def overflowing(row):
+    """A raw series whose R overflows from period ``row + 1``: 30 periods, k = 5."""
+    values = np.ones((30, 2))
+    values[row - 1, 1] = 1e200
+    return MappedSeries.from_model(EnterpriseModel(events=values, channel_labels=("a", "b")))
+
+
+@pytest.mark.parametrize("row", [8, 25])  # 6..17 is this process's half, 18..30 the child's
+def test_kernel_errors_are_the_serial_ones(split, row):
+    series = overflowing(row)
+    with pytest.raises(ValidationError) as serial:
+        indicator_series(series, 5, "raw")
+    with pytest.raises(ValidationError) as two:
+        indicator_series(series, 5, "raw", processes=2)
+    assert str(two.value) == str(serial.value) == (
+        f"period {row + 1}: R overflows the float range (channels b)"
+    )
+    assert split == [os.getpid()]
+    assert_no_child_left()
+
+
+def in_child(monkeypatch, action):
+    """Run ``action()`` before each kernel call that the forked child makes."""
+    parent = os.getpid()
+    window_kernel = engine._window_kernel
+
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return window_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_window_kernel", patched)
+
+
+def test_failing_child_leaves_the_serial_rows(monkeypatch, split):
+    series = random_series(40, 5)
+    serial = indicator_series(series, 5, "standardized")
+
+    def fail():
+        raise RuntimeError("child failed")
+
+    in_child(monkeypatch, fail)
+    two = indicator_series(series, 5, "standardized", processes=2)
+    assert split == [os.getpid()]
+    assert two.values.tobytes() == serial.values.tobytes()
+    assert_no_child_left()
+
+
+def test_error_here_kills_the_sleeping_child(monkeypatch, split):
+    # The child sleeps first, so it is still running when this process's half fails.
+    in_child(monkeypatch, lambda: time.sleep(60.0))
+    start = time.monotonic()
+    with pytest.raises(ValidationError, match="period 9: R overflows"):
+        indicator_series(overflowing(8), 5, "raw", processes=2)
+    assert time.monotonic() - start < 30.0
+    assert split == [os.getpid()]
+    assert_no_child_left()
+
+
+def refuse_fork():
+    raise BlockingIOError("fork refused")
+
+
+def test_refused_fork_takes_the_serial_path(monkeypatch, split):
+    series = random_series(40, 5)
+    serial = indicator_series(series, 5, "raw")
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    assert indicator_series(series, 5, "raw", processes=2).values.tobytes() == (
+        serial.values.tobytes()
+    )
+
+
+def test_unusable_temporary_directory_takes_the_serial_path(tmp_path, monkeypatch, split):
+    # The child hands its rows back through a file in the temporary directory.
+    series = random_series(40, 5)
+    serial = indicator_series(series, 5, "raw")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    two = indicator_series(series, 5, "raw", processes=2)
+    assert split == []
+    assert two.values.tobytes() == serial.values.tobytes()
+
+
+# --- the CLI -------------------------------------------------------------------
+
+
+@pytest.fixture
 def regimes(tmp_path):
     """Generated baseline and treated event files, and their indicator outputs."""
     scenario = tmp_path / "scenario.json"
@@ -55,146 +218,71 @@ def regimes(tmp_path):
     return paths
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the forks this process makes."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pids.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def compare(capsys, basic, treated, out, *flags):
-    """Exit code, stdout with ``out`` masked, and stderr of one ``compare`` run."""
+def cli_run(capsys, argv, out):
+    """Exit code, stdout with ``out`` masked, and stderr of one command."""
     capsys.readouterr()
-    code = run(["compare", "--basic", basic, "--treated", treated, "--window", "5", *flags,
-                "--output-dir", out])
+    code = run([*argv, "--window", "5", "--output-dir", out])
     captured = capsys.readouterr()
     return code, captured.out.replace(str(out), "OUT"), captured.err
 
 
-def serial_compare(monkeypatch, capsys, basic, treated, out, *flags):
+def serial_run(monkeypatch, capsys, argv, out):
     with monkeypatch.context() as patch:
         patch.delattr(os, "fork")
-        return compare(capsys, basic, treated, out, *flags)
+        return cli_run(capsys, argv, out)
 
 
 def output_bytes(directory: Path) -> dict:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-@pytest.mark.parametrize("kind", ["events", "indicators"])
-def test_two_process_compare_gives_the_serial_bytes(
-    tmp_path, monkeypatch, capsys, regimes, forks, kind
-):
-    basic, treated = regimes[(kind, "baseline")], regimes[(kind, "treated")]
-    serial = serial_compare(monkeypatch, capsys, basic, treated, tmp_path / "serial", "--seed", 3)
+def compare_argv(basic, treated):
+    return ["compare", "--basic", basic, "--treated", treated]
+
+
+@pytest.mark.parametrize("command, kernels", [("analyze", 1), ("compare-events", 2),
+                                              ("compare-indicators", 0)])
+def test_cli_outputs_are_the_serial_bytes(tmp_path, monkeypatch, capsys, regimes, split,
+                                          command, kernels):
+    if command == "analyze":
+        argv = ["analyze", "--events", regimes[("events", "treated")], "--mode", "standardized"]
+    else:
+        kind = command.split("-")[1]
+        argv = compare_argv(regimes[(kind, "baseline")], regimes[(kind, "treated")])
+    serial = serial_run(monkeypatch, capsys, argv, tmp_path / "serial")
     assert serial[0] == 0
-    split = compare(capsys, basic, treated, tmp_path / "split", "--seed", 3)
-    assert split == serial
-    assert forks == [os.getpid()]
+    assert cli_run(capsys, argv, tmp_path / "split") == serial
+    assert split == [os.getpid()] * kernels
     assert output_bytes(tmp_path / "split") == output_bytes(tmp_path / "serial")
     assert_no_child_left()
 
 
 def write_treated(tmp_path, regimes, problem):
-    """The treated event file with one bad cell, or cut short of the window."""
+    """The treated event file with one bad cell, one overflowing cell, or cut short."""
     lines = regimes[("events", "treated")].read_text().splitlines()
-    if problem == "bad-cell":
-        cells = lines[20].split(",")
-        cells[2] = "12.5x"
-        lines[20] = ",".join(cells)
-    else:
+    if problem == "too-short":
         lines = lines[:4]
+    else:
+        cells = lines[30].split(",")
+        cells[2] = "12.5x" if problem == "bad-cell" else "1e200"
+        lines[30] = ",".join(cells)
     path = tmp_path / f"treated_{problem}.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-@pytest.mark.parametrize("problem", ["bad-cell", "too-short"])
-def test_treated_errors_are_the_serial_ones(tmp_path, monkeypatch, capsys, regimes, forks, problem):
+@pytest.mark.parametrize("problem", ["bad-cell", "too-short", "overflow"])
+def test_compare_errors_are_the_serial_ones(tmp_path, monkeypatch, capsys, regimes, split,
+                                            problem):
     basic, treated = regimes[("events", "baseline")], write_treated(tmp_path, regimes, problem)
-    serial = serial_compare(monkeypatch, capsys, basic, treated, tmp_path / "out")
+    serial = serial_run(monkeypatch, capsys, compare_argv(basic, treated), tmp_path / "out")
     assert serial[0] == 1
-    assert str(treated) in serial[2]
-    assert compare(capsys, basic, treated, tmp_path / "out") == serial
-    assert forks == [os.getpid()]
+    assert (str(treated) if problem != "overflow" else "R overflows") in serial[2]
+    assert cli_run(capsys, compare_argv(basic, treated), tmp_path / "out") == serial
+    # The basic regime's kernel forks; the treated one's only if its file parses and is long enough.
+    assert split == [os.getpid()] * (2 if problem == "overflow" else 1)
     assert not (tmp_path / "out").exists()
     assert_no_child_left()
-
-
-def test_failing_child_leaves_the_serial_result(tmp_path, monkeypatch, capsys, regimes, forks):
-    basic, treated = regimes[("events", "baseline")], regimes[("events", "treated")]
-    serial = serial_compare(monkeypatch, capsys, basic, treated, tmp_path / "serial")
-    parent = os.getpid()
-    regime_column = cli._regime_column
-
-    def failing_in_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("child failed")
-        return regime_column(*args)
-
-    monkeypatch.setattr(cli, "_regime_column", failing_in_child)
-    assert compare(capsys, basic, treated, tmp_path / "split") == serial
-    assert forks == [parent]
-    assert output_bytes(tmp_path / "split") == output_bytes(tmp_path / "serial")
-    assert_no_child_left()
-
-
-def test_basic_error_kills_the_sleeping_child(tmp_path, monkeypatch, capsys, regimes, forks):
-    # The child sleeps first, so it is still running when the basic regime fails.
-    bad = write_treated(tmp_path, regimes, "bad-cell")
-    parent = os.getpid()
-    regime_column = cli._regime_column
-
-    def sleeping_child(*args):
-        if os.getpid() != parent:
-            time.sleep(60.0)
-        return regime_column(*args)
-
-    monkeypatch.setattr(cli, "_regime_column", sleeping_child)
-    start = time.monotonic()
-    code, _, err = compare(capsys, bad, regimes[("events", "treated")], tmp_path / "out")
-    assert time.monotonic() - start < 30.0
-    assert code == 1
-    assert err.startswith(f"error: {bad}")
-    assert forks == [parent]
-    assert not (tmp_path / "out").exists()
-    assert_no_child_left()
-
-
-def refuse_fork():
-    raise BlockingIOError("fork refused")
-
-
-def test_refused_fork_takes_the_serial_path(tmp_path, monkeypatch, capsys, regimes):
-    basic, treated = regimes[("events", "baseline")], regimes[("events", "treated")]
-    serial = serial_compare(monkeypatch, capsys, basic, treated, tmp_path / "serial")
-    monkeypatch.setattr(os, "fork", refuse_fork)
-    assert compare(capsys, basic, treated, tmp_path / "split") == serial
-    assert output_bytes(tmp_path / "split") == output_bytes(tmp_path / "serial")
-
-
-def test_unusable_temporary_directory_takes_the_serial_path(
-    tmp_path, monkeypatch, capsys, regimes, forks
-):
-    # The child hands its regime back through a file in the temporary directory.
-    basic, treated = regimes[("events", "baseline")], regimes[("events", "treated")]
-    serial = serial_compare(monkeypatch, capsys, basic, treated, tmp_path / "serial")
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    assert compare(capsys, basic, treated, tmp_path / "split") == serial
-    assert forks == []
-    assert output_bytes(tmp_path / "split") == output_bytes(tmp_path / "serial")
 
 
 # --- one BLAS thread per CLI process ------------------------------------------
