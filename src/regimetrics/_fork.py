@@ -1,4 +1,4 @@
-"""One forked child beside the caller: the package's only use of ``os.fork``.
+"""One forked child beside the caller: the only place the package forks.
 
 Two places hand half of their work to a child: ``io._write_table``
 formats the second half of a large table's rows, and
