@@ -17,13 +17,13 @@ the header, blank lines skipped; a leading ``t`` column runs densely by
 
 The numeric cells of event, comparison and indicator tables are
 converted in ``_read_values``. Data rows made only of the plain alphabet
-(ASCII ``0-9 . e E + -``, comma, space and ``\\n``) go through one
-``np.loadtxt`` call, numpy's C reader, and the dense ``t`` rule and
-finiteness are checked on its arrays. Any other data, and any row,
-rule or warning that stops that call, takes the streamed path: the file
-is read again with ``int()`` and ``float()`` per cell, which names the
-first bad cell and its line. The accepted syntax and every message are
-those of the streamed path either way.
+(ASCII ``0-9 . e E + -``, comma, space, ``\\n``, and ``\\r`` at a line end)
+go through one ``np.loadtxt`` call, numpy's C reader, and the dense ``t``
+rule and finiteness are checked on its arrays. Any other data (an
+embedded ``\\r`` too) and any row, rule or warning that stops that call
+take the one scan, ``_scan_values``: the file is read again and each cell
+converted by ``int()`` or ``float()``, up to the first bad one, named with
+its line. The accepted syntax and every message are the scan's either way.
 
 The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
@@ -318,8 +318,9 @@ def parse_events(path) -> EnterpriseModel:
 # The plain alphabet. Data rows made only of these characters go to np.loadtxt,
 # which reads them exactly as float() and int() do. Outside it the two differ:
 # loadtxt strips U+001C..U+001F around a number and refuses 1_0 or non-ASCII
-# digits, so such data takes the streamed path.
-_PLAIN = b"0123456789.eE+-, \n"
+# digits, so such data takes the scan. \r is plain at a line end, so CRLF files
+# take loadtxt; loadtxt refuses an embedded \r, which defers to the scan.
+_PLAIN = b"0123456789.eE+-, \n\r"
 # Characters of data text checked against _PLAIN and handed to loadtxt at a time.
 _PLAIN_BLOCK_CHARS = 1 << 16
 
@@ -328,22 +329,18 @@ def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray]:
     """Periods and cells of a table whose header starts with ``t``.
 
     ``rest`` is the open text after the header, and ``table`` holds the
-    table's ``_read_table`` arguments. Plain numeric data is converted by
-    one ``np.loadtxt`` call (``_load_plain``), with the dense ``t`` rule
-    and finiteness checked on its arrays. Anything else sends the table to
-    the streamed path (``_stream_values``), which reads the file again:
-    a character outside the plain alphabet, a cell or row that loadtxt
-    refuses or warns about, or a broken rule. That path accepts what
-    ``float()`` and ``int()`` accept and names the first bad cell and its
-    line, so both paths give the same arrays or the same error. Returns
-    the periods and the (rows, cells) values.
+    table's ``_read_table`` arguments. Plain numeric data (``\\r`` only at a
+    line end) is converted by one ``np.loadtxt`` call (``_load_plain``),
+    with the dense ``t`` rule and finiteness checked on its arrays. Any
+    refusal, an embedded ``\\r`` among them, defers to the one scan
+    (``_scan_values``), the file's second and last read, which stops at
+    the first bad cell; so both paths give the same arrays or the same error.
     """
     try:
         return _load_plain(rest, len(header) - 1, table.get("first_period"))
     except (ValueError, Warning):
-        pass  # the streamed path is the reference, so every refusal here defers to it
-    with _read_table(path, **table) as (_, _, _, rows, _):
-        return _stream_values(path, header, rows, table)
+        pass  # the scan is the reference, so every refusal here defers to it
+    return _scan_values(path, table)
 
 
 def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
@@ -386,43 +383,29 @@ def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
     return periods, values
 
 
-def _stream_values(path, header, rows, table) -> tuple[np.ndarray, np.ndarray]:
-    """Periods and cells of a table from its ``_read_table`` rows, converted by ``float()``.
+def _scan_values(path, table, rule=None) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and cells of a table, read once more through ``_read_table``'s rows.
 
-    Each row's cells pass through ``map(float, ...)`` into one flat array,
-    and finiteness is checked once, on that array. The pass keeps no cell
-    text or line, so on any failure the file is read again (``table``
-    holds its ``_read_table`` arguments) to report the first bad cell.
-    """
-    try:
-        first = next(rows, None)
-        rows = itertools.chain([first] if first else [], rows)
-        flat = itertools.chain.from_iterable(map(float, cells) for _, _, cells in rows)
-        values = np.fromiter(flat, dtype=float)
-    except (ValueError, ParseError) as exc:
-        _raise_first_bad_cell(path, table, exc)
-    if not np.isfinite(values).all():
-        _raise_first_bad_cell(path, table)
-    values = values.reshape(-1, len(header) - 1)
-    start = first[1] if first else 1
-    return np.arange(start, start + len(values), dtype=np.int64), values
-
-
-def _raise_first_bad_cell(path, table, failure=None, rule=None):
-    """Read the table again cell by cell and raise its first error in file order.
-
-    ``failure`` is what the bulk pass met, if anything. ``rule`` is an
+    ``table`` holds the ``_read_table`` arguments. Each cell is converted
+    by ``_parse_float``, so the first bad cell in file order raises with
+    its line, and the cells go straight into one array. ``rule`` is an
     optional ``(misfit, message)`` pair: a row for which ``misfit(t, row)``
-    holds is an error with that message.
+    holds is an error with that message at its line.
     """
     with _read_table(path, **table) as (_, header, _, rows, _):
-        for at, t, cells in rows:
+        first = next(rows, None)
+
+        def converted(at, t, cells):
             row = [_parse_float(cell, path, at, label) for cell, label in zip(cells, header[1:])]
             if rule is not None and rule[0](t, row):
                 raise ParseError(rule[1], source=path, line=at)
-    if isinstance(failure, ParseError):
-        raise failure
-    raise ParseError("file changed while being read", source=path)
+            return row
+
+        scanned = itertools.starmap(converted, itertools.chain([first] if first else [], rows))
+        values = np.fromiter(itertools.chain.from_iterable(scanned), dtype=float)
+    start = first[1] if first else 1
+    values = values.reshape(-1, len(header) - 1)
+    return np.arange(start, start + len(values), dtype=np.int64), values
 
 
 # --- competency mapping ----------------------------------------------------
@@ -633,7 +616,8 @@ def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.nd
             f"first period {first} does not fit window {k}: an indicator output "
             f"starts at period {k + 1}, or at 1 with zero rows 1..{k}"
         )
-        _raise_first_bad_cell(path, {}, rule=(misfit, message))
+        _scan_values(path, {}, rule=(misfit, message))
+        raise ParseError(message, source=path)  # the file changed and fits the window now
     keep = periods > k
     if not keep.any():
         raise ParseError(f"no period after the warm-up 1..{k}", source=path, line=line)

@@ -1,11 +1,14 @@
-"""The two converters of numeric tables: numpy's C reader and the streamed path.
+"""The two converters of numeric tables: numpy's C reader and the one scan.
 
-Plain numeric data rows go through one ``np.loadtxt`` call; anything else
-is read again by the streamed ``float()`` converter, which is the
-reference. These tests check that both give the same arrays or the same
-error, and that each path is really taken where it should be.
+Plain numeric data rows, CRLF line ends included, go through one
+``np.loadtxt`` call; anything else, an embedded ``\\r`` among it, is read
+again by the cell-by-cell scan, which is the reference. These tests check
+that both give the same arrays or the same error, that each path is
+really taken where it should be, and that a refused file is read at most
+twice.
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -171,8 +174,8 @@ def outcome(kind, path):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays(kind.split(",")[0], result)]
 
 
-def streamed_outcome(kind, path):
-    with mock.patch.object(rio, "_load_plain", side_effect=ValueError("streamed path forced")):
+def scanned_outcome(kind, path):
+    with mock.patch.object(rio, "_load_plain", side_effect=ValueError("scan forced")):
         return outcome(kind, path)
 
 
@@ -183,7 +186,7 @@ def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
     text = data.draw(table_texts(kind.split(",")[0]), label="text")
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert outcome(kind, path) == streamed_outcome(kind, path)
+    assert outcome(kind, path) == scanned_outcome(kind, path)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +197,8 @@ def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
         ("events", "t,a\n1,1_0\n"),
         ("events", "t,a\n1.0,2.0\n"),
         ("events", "t,a\n1,٣\n"),
+        ("events", "t,a\n1,2\r3\n"),
+        ("events", "t,a\r1,2\r2,x\r"),
         # a duplicate period where periods past int64 would be compared as floats
         ("indicator", f"t,v_total\n{2**63 - 3},1\n{2**63 - 2},1\n{2**63 - 2},1\n"),
     ],
@@ -201,10 +206,10 @@ def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
 def test_tables_loadtxt_reads_unlike_the_streamed_path_take_it(tmp_path, kind, text):
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8")
-    expected = streamed_outcome(kind, path)
-    with mock.patch.object(rio, "_stream_values", wraps=rio._stream_values) as streamed:
+    expected = scanned_outcome(kind, path)
+    with mock.patch.object(rio, "_scan_values", wraps=rio._scan_values) as scanned:
         assert outcome(kind, path) == expected
-    assert streamed.call_count == 1
+    assert scanned.call_count == 1
 
 
 def test_last_int64_period_reads_back_exactly_on_both_paths(tmp_path):
@@ -212,8 +217,8 @@ def test_last_int64_period_reads_back_exactly_on_both_paths(tmp_path):
     path.write_text(f"t,v_basic,v_ddescr,dv\n{2**63 - 2},1,3,2\n{2**63 - 1},1,3,2\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast, streamed = outcome("comparison", path), streamed_outcome("comparison", path)
-    assert fast == streamed
+        fast, scanned = outcome("comparison", path), scanned_outcome("comparison", path)
+    assert fast == scanned
     periods = np.array([2**63 - 2, 2**63 - 1], dtype=np.int64)
     assert fast[0] == (periods.dtype.str, periods.shape, periods.tobytes())
 
@@ -232,7 +237,7 @@ def test_period_outside_int64_is_an_error_at_its_line_on_both_paths(tmp_path, ro
     path.write_text("t,v_basic,v_ddescr,dv\n" + "".join(f"{t},1,3,2\n" for t in rows))
     expected = ("error", "ParseError", f"{path}:{line}: {message}", line)
     assert outcome("comparison", path) == expected
-    assert streamed_outcome("comparison", path) == expected
+    assert scanned_outcome("comparison", path) == expected
 
 
 # --- which path is taken -----------------------------------------------------
@@ -278,7 +283,7 @@ def assert_read_bits(kind, path, expected):
 
 def test_writer_outputs_and_bundled_reference_take_the_fast_path(tmp_path, monkeypatch):
     tables = written_tables(tmp_path)
-    monkeypatch.setattr(rio, "_stream_values", mock.Mock(side_effect=AssertionError("streamed")))
+    monkeypatch.setattr(rio, "_scan_values", mock.Mock(side_effect=AssertionError("scanned")))
     for path, kind, expected in tables:
         assert_read_bits(kind, path, expected)
     comparison, totals = load_reference()
@@ -286,15 +291,12 @@ def test_writer_outputs_and_bundled_reference_take_the_fast_path(tmp_path, monke
     assert totals == (5069.93, 5491.28, 421.35)
 
 
-def test_crlf_copies_take_the_streamed_path(tmp_path, monkeypatch):
-    streamed = mock.Mock(wraps=rio._stream_values)
-    monkeypatch.setattr(rio, "_stream_values", streamed)
+def test_crlf_copies_take_the_fast_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(rio, "_scan_values", mock.Mock(side_effect=AssertionError("scanned")))
     for path, kind, expected in written_tables(tmp_path):
         crlf = path.with_name(f"crlf-{path.name}")
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        calls = streamed.call_count
         assert_read_bits(kind, crlf, expected)
-        assert streamed.call_count == calls + 1
 
 
 def test_header_only_event_file_raises_without_a_warning(tmp_path):
@@ -305,3 +307,38 @@ def test_header_only_event_file_raises_without_a_warning(tmp_path):
         with pytest.raises(ParseError, match=r"no data rows \(t_max = 0\)"):
             parse_events(path)
     assert caught == []
+
+
+# --- how often a refused file is read ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, read, message",
+    [
+        ("t,a\n1,2\n2,x\n", parse_events, "3: column 'a': 'x' is not a number"),
+        ("t,v_total\n2,1\n3,1\n", lambda path: read_indicator_column(path, 3), "2: first period 2"),
+    ],
+    ids=["bad last cell", "misfitting window"],
+)
+def test_a_refused_file_is_read_at_most_twice(tmp_path, text, read, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{message}")):
+            read(path)
+    assert opened.call_count == 2
+
+
+def test_a_misfit_gone_on_the_second_read_is_still_an_error(tmp_path, monkeypatch):
+    path = tmp_path / "plot.csv"
+    path.write_text("t,v_total\n1,5\n2,0\n3,0\n4,1\n", encoding="utf-8")
+    scan = rio._scan_values
+
+    def scan_a_fitting_file(*args, **kwargs):
+        path.write_text("t,v_total\n1,0\n2,0\n3,0\n4,1\n", encoding="utf-8")
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(rio, "_scan_values", scan_a_fitting_file)
+    with pytest.raises(ParseError, match="first period 1 does not fit window 3") as caught:
+        read_indicator_column(path, 3)
+    assert caught.value.line is None and str(path) in str(caught.value)
