@@ -16,7 +16,10 @@ z-scored inside its window first, which makes the entries Pearson
 coefficients bounded by 1.
 
 One chunked kernel computes every period; ``window_correlation`` runs it
-on a single period for inspection. No period's rows depend on another's,
+on a single period for inspection. In standardized mode a chunk takes
+its windows' max and min from its own rows of the series by doubling
+spans, and adds each window's rows one at a time, oldest first, for its
+sum and sum of squares. No period's rows depend on another's,
 so ``indicator_series(..., processes=2)`` can hand the second half of a
 long run to a forked child. ``naive_oracle`` recomputes everything
 with explicit triple loops and no matrix product, so tests can check the
@@ -60,24 +63,59 @@ _CHUNK_BYTES = 4 << 20
 _SPLIT_MACS = 1 << 27
 
 
-def _standardize(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z-score every channel of a (periods, k, n) window stack in its window.
+def _window_extremes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min over each run of k consecutive rows of ``rows``.
 
-    A channel is degenerate exactly when its window is constant; its
-    column becomes zero. Each column is first scaled by a power of two
-    taken from its largest magnitude, so squaring cannot overflow, and
-    the z-scores equal the unscaled ones bit for bit wherever those
-    neither overflow nor underflow.
+    Doubling spans (van Herk 1992; Gil & Werman 1993): the extremes over
+    spans of 1, 2, 4, ... rows come from two shifted slices of the last
+    span, and two overlapping spans of the largest power of two up to k
+    cover each window. That is log2(k) + 1 passes over the rows instead
+    of k per window, and exact, since max and min never round.
     """
-    hi, lo = block.max(axis=1), block.min(axis=1)
+    count = len(rows) - k + 1
+    hi = lo = rows
+    span = 1
+    while 2 * span <= k:
+        hi = np.maximum(hi[:-span], hi[span:])
+        lo = np.minimum(lo[:-span], lo[span:])
+        span *= 2
+    return np.maximum(hi[:count], hi[k - span :]), np.minimum(lo[:count], lo[k - span :])
+
+
+def _row_sums(rows) -> np.ndarray:
+    """Sum of two or more arrays, one add per array, in order."""
+    rows = iter(rows)
+    total = next(rows) + next(rows)
+    for row in rows:
+        total += row
+    return total
+
+
+def _standardize(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score every channel of each window of k consecutive ``rows`` in its window.
+
+    Returns the (windows, k, n) stack of z-scores and the (windows, n)
+    degenerate flags. A channel is degenerate exactly when its window is
+    constant; its column becomes zero. Each column is first scaled by a
+    power of two taken from its largest magnitude, so squaring cannot
+    overflow, and the z-scores equal the unscaled ones bit for bit
+    wherever those neither overflow nor underflow. Window sums add the
+    window's rows one at a time, oldest first.
+    """
+    count = len(rows) - k + 1
+    hi, lo = _window_extremes(rows, k)
     degenerate = hi == lo
     _, exponent = np.frexp(np.maximum(hi, -lo))
-    scaled = np.ldexp(block, -exponent[:, None, :])
+    # scaled[l] is row l of every window, so each pass runs over contiguous memory.
+    by_row = sliding_window_view(rows, count, axis=0).transpose(0, 2, 1)
+    scaled = np.ldexp(by_row, -exponent)
     # A constant column centers on its own value, so it becomes exactly 0.
-    scaled -= np.where(degenerate, scaled[:, 0], scaled.mean(axis=1))[:, None, :]
-    variance = np.square(scaled).sum(axis=1) / (k - 1)
-    scaled /= np.sqrt(np.where(degenerate, 1.0, variance))[:, None, :]
-    return scaled, degenerate
+    scaled -= np.where(degenerate, scaled[0], _row_sums(scaled) / k)
+    variance = _row_sums(map(np.square, scaled)) / (k - 1)
+    # The last pass lays each window out contiguously, as the Gram product reads it.
+    z = np.empty((count, k, rows.shape[1]))
+    np.divide(scaled, np.sqrt(np.where(degenerate, 1.0, variance)), out=z.transpose(1, 0, 2))
+    return z, degenerate
 
 
 def _check_chunk(magnitude, sums, degenerate, mode: str, first: int, labels) -> None:
@@ -132,10 +170,9 @@ def _window_kernel(
     stack when ``signed``, and the (periods, n) degenerate flags.
     """
     n, count = series.n, last - first + 1
+    rows = series.values[first - k - 1 : last - 1]
     # Window w is the chronological (k, n) slice of rows w .. w + k - 1.
-    windows = sliding_window_view(
-        series.values[first - k - 1 : last - 1], k, axis=0
-    ).transpose(0, 2, 1)
+    windows = sliding_window_view(rows, k, axis=0).transpose(0, 2, 1)
     step = _chunk_periods(n, k)
     out = np.empty((count, n, n) if signed else (count, n))
     degenerate = np.zeros((count, n), dtype=bool)
@@ -143,7 +180,7 @@ def _window_kernel(
         stop = min(start + step, count)
         block = windows[start:stop]
         if mode == STANDARDIZED:
-            block, degenerate[start:stop] = _standardize(block, k)
+            block, degenerate[start:stop] = _standardize(rows[start : stop + k - 1], k)
         # Raw overflow is not a warning: _check_chunk raises naming the period.
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.matmul(block.transpose(0, 2, 1), block)

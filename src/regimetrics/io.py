@@ -29,13 +29,14 @@ The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
 written atomically (write to a temporary file in the same directory,
 then rename) and byte-identical across repeated runs with identical
-inputs. ``_write_table`` formats a numeric block of at least
-``_SPLIT_CELLS`` (65,536) cells in two processes (``_fork.forked``): one
-forked child formats the second half of the rows into an anonymous
-temporary file, which is appended after the first half. Where no child
-can start, or the child fails, this process formats those rows itself,
-so the bytes are those of the serial loop either way. Files get the
-permissions ``open(path, "w")`` would give: 0666 less the umask.
+inputs. ``_write_table`` formats a numeric table of at least
+``_SPLIT_CELLS`` (65,536) cells, its period column included, in two
+processes (``_fork.forked``): one forked child formats the second half
+of the rows into an anonymous temporary file, which is appended after
+the first half. Where no child can start, or the child fails, this
+process formats those rows itself, so the bytes are those of the serial
+loop either way. Files get the permissions ``open(path, "w")`` would
+give: 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ TOTAL_COLUMNS = ("total", "v_total")
 _INT64 = np.iinfo(np.int64)
 # Cells that _write_table holds as Python floats (about 30 bytes each) at once.
 _WRITE_BLOCK_CELLS = 1 << 15
-# Cells from which _write_table forks a child for half the rows (fork and reap: about 2.4 ms).
+# Cells, the period column's included, from which _write_table forks a child for half the
+# rows (fork and reap: about 2.4 ms).
 _SPLIT_CELLS = 1 << 16
 
 
@@ -234,11 +236,12 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
     never need quoting. Lines go to the file a block of rows at a time,
     so no copy of the whole text is held.
 
-    A ``values`` block of ``_SPLIT_CELLS`` cells or more is formatted by
-    two processes (see ``_fork.forked``): a child writes the second half of the
-    rows to an anonymous file in the output directory, appended after this
-    process's first half. Without a child, this process formats those rows
-    too, so the bytes and errors are the serial loop's.
+    A table of ``_SPLIT_CELLS`` cells or more, counting the period column,
+    is formatted by two processes (see ``_fork.forked``): a child writes
+    the second half of the rows to an anonymous file in the output
+    directory, appended after this process's first half. Without a child,
+    this process formats those rows too, so the bytes and errors are the
+    serial loop's.
     """
     with _atomic_open(path) as handle:
         handle.writelines(f"# {name}: {value}\n" for name, value in directives)
@@ -249,7 +252,7 @@ def _write_table(path, header, rows=(), directives=(), periods=(), values=None) 
             return Path(path)
         periods = np.asarray(periods).astype(int).tolist()
         values = np.asarray(values, dtype=float)
-        if values.size < _SPLIT_CELLS:
+        if len(values) * (values.shape[1] + 1) < _SPLIT_CELLS:
             handle.writelines(_row_text(periods, values))
             return Path(path)
         mid = len(values) // 2
@@ -325,7 +328,7 @@ _PLAIN = b"0123456789.eE+-, \n\r"
 _PLAIN_BLOCK_CHARS = 1 << 16
 
 
-def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray]:
+def _read_values(path, header, rest, table, rule=None) -> tuple[np.ndarray, np.ndarray]:
     """Periods and cells of a table whose header starts with ``t``.
 
     ``rest`` is the open text after the header, and ``table`` holds the
@@ -333,14 +336,15 @@ def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray]:
     line end) is converted by one ``np.loadtxt`` call (``_load_plain``),
     with the dense ``t`` rule and finiteness checked on its arrays. Any
     refusal, an embedded ``\\r`` among them, defers to the one scan
-    (``_scan_values``), the file's second and last read, which stops at
-    the first bad cell; so both paths give the same arrays or the same error.
+    (``_scan_values``, which also applies ``rule``), the file's second and
+    last read, which stops at the first bad cell; so both paths give the
+    same arrays or the same error.
     """
     try:
         return _load_plain(rest, len(header) - 1, table.get("first_period"))
     except (ValueError, Warning):
         pass  # the scan is the reference, so every refusal here defers to it
-    return _scan_values(path, table)
+    return _scan_values(path, table, rule)
 
 
 def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
@@ -389,21 +393,23 @@ def _scan_values(path, table, rule=None) -> tuple[np.ndarray, np.ndarray]:
     ``table`` holds the ``_read_table`` arguments. Each cell is converted
     by ``_parse_float``, so the first bad cell in file order raises with
     its line, and the cells go straight into one array. ``rule`` is an
-    optional ``(misfit, message)`` pair: a row for which ``misfit(t, row)``
-    holds is an error with that message at its line.
+    optional function of the first period that returns a ``(misfit,
+    message)`` pair: a row for which ``misfit(t, row)`` holds is an error
+    with that message at its line.
     """
     with _read_table(path, **table) as (_, header, _, rows, _):
         first = next(rows, None)
+        start = first[1] if first else 1
+        misfit, message = rule(start) if rule else (None, None)
 
         def converted(at, t, cells):
             row = [_parse_float(cell, path, at, label) for cell, label in zip(cells, header[1:])]
-            if rule is not None and rule[0](t, row):
-                raise ParseError(rule[1], source=path, line=at)
+            if misfit is not None and misfit(t, row):
+                raise ParseError(message, source=path, line=at)
             return row
 
         scanned = itertools.starmap(converted, itertools.chain([first] if first else [], rows))
         values = np.fromiter(itertools.chain.from_iterable(scanned), dtype=float)
-    start = first[1] if first else 1
     values = values.reshape(-1, len(header) - 1)
     return np.arange(start, start + len(values), dtype=np.int64), values
 
@@ -598,25 +604,29 @@ def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.nd
     """
     if k is not None:
         _check_window_length(k)
-    with _read_table(path) as (line, header, _, _, rest):
-        if not _is_indicator_header(header):
-            message = "not an indicator output (header must start with 't' and end with a total)"
-            raise ParseError(message, source=path, line=line)
-        periods, values = _read_values(path, header, rest, {})
-    if k is None:
-        return periods, values[:, -1].copy()
-    first = periods[0] if periods.size else k + 1
 
-    def misfit(t, row):
-        # Written with | and &, so it holds for one row and for every row at once.
-        return (first not in (1, k + 1)) | ((t <= k) & (row[-1] != 0.0))
+    def window_fit(first):
+        def misfit(t, row):
+            # Written with | and &, so it holds for one row and for every row at once.
+            return (first not in (1, k + 1)) | ((t <= k) & (row[-1] != 0.0))
 
-    if misfit(periods, values.T).any():
         message = (
             f"first period {first} does not fit window {k}: an indicator output "
             f"starts at period {k + 1}, or at 1 with zero rows 1..{k}"
         )
-        _scan_values(path, {}, rule=(misfit, message))
+        return misfit, message
+
+    with _read_table(path) as (line, header, _, _, rest):
+        if not _is_indicator_header(header):
+            message = "not an indicator output (header must start with 't' and end with a total)"
+            raise ParseError(message, source=path, line=line)
+        # A file the fast path refuses is scanned once, checking the window fit as it goes.
+        periods, values = _read_values(path, header, rest, {}, None if k is None else window_fit)
+    if k is None:
+        return periods, values[:, -1].copy()
+    misfit, message = window_fit(periods[0] if periods.size else k + 1)
+    if misfit(periods, values.T).any():
+        _scan_values(path, {}, rule=window_fit)
         raise ParseError(message, source=path)  # the file changed and fits the window now
     keep = periods > k
     if not keep.any():

@@ -317,8 +317,10 @@ def test_header_only_event_file_raises_without_a_warning(tmp_path):
     [
         ("t,a\n1,2\n2,x\n", parse_events, "3: column 'a': 'x' is not a number"),
         ("t,v_total\n2,1\n3,1\n", lambda path: read_indicator_column(path, 3), "2: first period 2"),
+        # loadtxt refuses 1_0, so the one scan must also find the misfit.
+        ("t,v_total\n2,1_0\n3,1\n", lambda path: read_indicator_column(path, 3), "2: first period 2"),
     ],
-    ids=["bad last cell", "misfitting window"],
+    ids=["bad last cell", "misfitting window", "refused and misfitting"],
 )
 def test_a_refused_file_is_read_at_most_twice(tmp_path, text, read, message):
     path = tmp_path / "table.csv"

@@ -57,9 +57,8 @@ def serial_bytes(tmp_path, writer, rows, cols):
 
 
 @pytest.fixture
-def split_everything(monkeypatch):
-    """Lower the threshold so every table with a value cell is split; count the forks."""
-    monkeypatch.setattr(rio, "_SPLIT_CELLS", 1)
+def forks(monkeypatch):
+    """The pids that called ``os.fork``, one entry per call."""
     forks = []
     fork = os.fork
 
@@ -68,6 +67,13 @@ def split_everything(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.fixture
+def split_everything(monkeypatch, forks):
+    """Lower the threshold so every table with a value cell is split; count the forks."""
+    monkeypatch.setattr(rio, "_SPLIT_CELLS", 1)
     return forks
 
 
@@ -85,6 +91,16 @@ def test_split_writers_give_the_serial_bytes(tmp_path, split_everything, writer,
     assert split_everything == [os.getpid()]
     assert path.read_bytes() == expected
     assert os.listdir(out) == ["table.csv"]
+    assert_no_child_left()
+
+
+def test_the_period_column_counts_toward_the_split(tmp_path, forks):
+    # A plot file holds fewer value cells than _SPLIT_CELLS, but not with its periods.
+    rows = 3 * rio._SPLIT_CELLS // 4
+    expected = serial_bytes(tmp_path, "plot", rows, 1)
+    path = write_with("plot", tmp_path / "split" / "plot.csv", rows, 1)
+    assert forks == [os.getpid()]
+    assert path.read_bytes() == expected
     assert_no_child_left()
 
 
