@@ -169,7 +169,7 @@ def _regime_column(path: Path, k: int, mode: str):
     # parse_events is looked up on this module, so a wrapper set here (as the
     # benchmark's traced run sets one) sees every event-file parse.
     if is_indicator_output(path):
-        return read_indicator_column(path, k)
+        return read_indicator_column(path, k, mode)
     model = parse_events(path)
     try:
         indicators = indicator_series(

@@ -414,8 +414,11 @@ def compare_regimes(basic, treated) -> RegimeComparison:
 
     Each argument is an IndicatorSeries (aggregated per period over
     channels) or a (periods, values) column. Both must cover exactly the
-    same evaluable periods.
+    same evaluable periods, and two IndicatorSeries must share a mode.
     """
+    modes = [getattr(regime, "mode", None) for regime in (basic, treated)]
+    if None not in modes and modes[0] != modes[1]:
+        raise ValidationError(f"regimes differ in mode: basic {modes[0]!r}, treated {modes[1]!r}")
     basic_periods, basic_values = _as_column(basic)
     treated_periods, treated_values = _as_column(treated)
     if not np.array_equal(basic_periods, treated_periods):
@@ -423,12 +426,8 @@ def compare_regimes(basic, treated) -> RegimeComparison:
             "regimes cover different period ranges: "
             f"basic {_span(basic_periods)}, treated {_span(treated_periods)}"
         )
-    return RegimeComparison(
-        periods=basic_periods,
-        basic=basic_values,
-        treated=treated_values,
-        delta=treated_values - basic_values,
-    )
+    delta = treated_values - basic_values
+    return RegimeComparison(basic_periods, basic_values, treated_values, delta)
 
 
 def naive_oracle(

@@ -10,8 +10,9 @@ the header, blank lines skipped; a leading ``t`` column runs densely by
   ``competency_id,channel_label,flag`` rows (absent pairs default to 0);
 * comparison table: ``t,v_basic,v_ddescr,dv`` rows with an optional
   ``# totals:`` directive;
-* indicator table: ``t,<labels...>,total``;
-* plot data: ``t,v_total`` pairs;
+* indicator table: ``# k:`` and ``# mode:`` directives (the window and
+  normalization it was made with), then ``t,<labels...>,total``;
+* plot data: the same two directives, then ``t,v_total`` pairs;
 * descriptor catalog: ``level,level_name,skill_id,skill_name,request_id,
   request_text`` rows (its own rules live in ``catalog``).
 
@@ -71,6 +72,8 @@ COMPARISON_HEADER = ("t", "v_basic", "v_ddescr", "dv")
 PLOT_HEADER = ("t", "v_total")
 MAPPING_HEADER = ("competency_id", "channel_label", "flag")
 TOTAL_COLUMNS = ("total", "v_total")
+# Directives of an indicator output: the window and the mode it was made with.
+_RUN_DIRECTIVES = ("k", "mode")
 # Periods are int64 arrays, so a period outside this range is an error at its line.
 _INT64 = np.iinfo(np.int64)
 # Cells that _write_table holds as Python floats (about 30 bytes each) at once.
@@ -143,16 +146,17 @@ def _is_indicator_header(header) -> bool:
 
 def is_indicator_output(path) -> bool:
     """Whether ``path`` holds an indicator table or plot data rather than an event series."""
-    with _read_table(path) as (_, header, _, _, _):
+    with _read_table(path, _RUN_DIRECTIVES) as (_, header, _, _, _):
         return _is_indicator_header(header)
 
 
 @contextmanager
-def _read_table(path, directives=(), first_period=None):
+def _read_table(path, directives=(), first_period=None, repeated=()):
     """Open a delimited table; yield ``(line, header, found, rows, rest)``.
 
     ``line`` is the header's physical line and ``found`` the directives
-    as ``(line, name, value)``; a name not in ``directives`` is an error.
+    as ``(line, name, value)``; a name not in ``directives`` is an error,
+    and so is a second directive of a name not in ``repeated``.
     ``rows`` streams ``(line, t, cells)`` per data row. When the header
     starts with ``t``, ``t`` must be ``first_period`` (by default the
     first row's own value) on the first row and go up by 1 on each later
@@ -172,6 +176,8 @@ def _read_table(path, directives=(), first_period=None):
                 if not colon or name not in directives:
                     message = f"unknown directive {text[1:].strip()!r}"
                     raise ParseError(message, source=path, line=header_line)
+                if name not in repeated and any(name == seen for _, seen, _ in found):
+                    raise ParseError(f"duplicate {name} directive", source=path, line=header_line)
                 found.append((header_line, name, value))
             elif text:
                 break
@@ -296,11 +302,14 @@ def parse_events(path) -> EnterpriseModel:
     """Read an event-series file into a model.
 
     Periods run densely from 1, every cell must be a finite number, and
-    the header of an indicator output is rejected.
+    the header or a ``# k:`` / ``# mode:`` directive of an indicator output
+    is rejected.
     """
-    with _read_table(path, first_period=1) as (line, header, _, _, rest):
+    with _read_table(path, _RUN_DIRECTIVES, first_period=1) as (line, header, found, _, rest):
         labels = header[1:]
-        if header[0] != EVENT_PERIOD_COLUMN:
+        if found:
+            problem, line = f"'# {found[0][1]}:' directive of an indicator output", found[0][0]
+        elif header[0] != EVENT_PERIOD_COLUMN:
             problem = f"first header column must be {EVENT_PERIOD_COLUMN!r}"
         elif not labels:
             problem = "at least one channel column is required"
@@ -328,7 +337,7 @@ _PLAIN = b"0123456789.eE+-, \n\r"
 _PLAIN_BLOCK_CHARS = 1 << 16
 
 
-def _read_values(path, header, rest, table, rule=None) -> tuple[np.ndarray, np.ndarray]:
+def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray]:
     """Periods and cells of a table whose header starts with ``t``.
 
     ``rest`` is the open text after the header, and ``table`` holds the
@@ -336,15 +345,14 @@ def _read_values(path, header, rest, table, rule=None) -> tuple[np.ndarray, np.n
     line end) is converted by one ``np.loadtxt`` call (``_load_plain``),
     with the dense ``t`` rule and finiteness checked on its arrays. Any
     refusal, an embedded ``\\r`` among them, defers to the one scan
-    (``_scan_values``, which also applies ``rule``), the file's second and
-    last read, which stops at the first bad cell; so both paths give the
-    same arrays or the same error.
+    (``_scan_values``), the file's second and last read, which stops at the
+    first bad cell; so both paths give the same arrays or the same error.
     """
     try:
         return _load_plain(rest, len(header) - 1, table.get("first_period"))
     except (ValueError, Warning):
         pass  # the scan is the reference, so every refusal here defers to it
-    return _scan_values(path, table, rule)
+    return _scan_values(path, table)
 
 
 def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
@@ -380,38 +388,29 @@ def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
     # Cut at the int64 limit, so rows that run past it are never dense.
     periods = np.arange(start, min(start + len(data), _INT64.max + 1), dtype=np.int64)
     values = np.ascontiguousarray(data["v"])
-    if first_period not in (None, start) or not np.array_equal(data["t"], periods):
-        raise ValueError("periods do not run densely from the first period")
-    if not np.isfinite(values).all():
-        raise ValueError("a cell is not finite")
+    dense = first_period in (None, start) and np.array_equal(data["t"], periods)
+    if not dense or not np.isfinite(values).all():
+        raise ValueError("periods not dense from the first period, or a cell not finite")
     return periods, values
 
 
-def _scan_values(path, table, rule=None) -> tuple[np.ndarray, np.ndarray]:
+def _scan_values(path, table) -> tuple[np.ndarray, np.ndarray]:
     """Periods and cells of a table, read once more through ``_read_table``'s rows.
 
     ``table`` holds the ``_read_table`` arguments. Each cell is converted
     by ``_parse_float``, so the first bad cell in file order raises with
-    its line, and the cells go straight into one array. ``rule`` is an
-    optional function of the first period that returns a ``(misfit,
-    message)`` pair: a row for which ``misfit(t, row)`` holds is an error
-    with that message at its line.
+    its line, and the cells go straight into one array.
     """
     with _read_table(path, **table) as (_, header, _, rows, _):
-        first = next(rows, None)
-        start = first[1] if first else 1
-        misfit, message = rule(start) if rule else (None, None)
-
-        def converted(at, t, cells):
-            row = [_parse_float(cell, path, at, label) for cell, label in zip(cells, header[1:])]
-            if misfit is not None and misfit(t, row):
-                raise ParseError(message, source=path, line=at)
-            return row
-
-        scanned = itertools.starmap(converted, itertools.chain([first] if first else [], rows))
-        values = np.fromiter(itertools.chain.from_iterable(scanned), dtype=float)
+        first = next(rows, (None, 1, ()))  # a table without rows reads as periods from 1
+        scanned = (
+            _parse_float(cell, path, at, label)
+            for at, _, cells in itertools.chain([first], rows)
+            for cell, label in zip(cells, header[1:])
+        )
+        values = np.fromiter(scanned, dtype=float)
     values = values.reshape(-1, len(header) - 1)
-    return np.arange(start, start + len(values), dtype=np.int64), values
+    return np.arange(first[1], first[1] + len(values), dtype=np.int64), values
 
 
 # --- competency mapping ----------------------------------------------------
@@ -456,11 +455,10 @@ def parse_mapping(path, channel_labels, catalog=None) -> CompetencyMapping:
             raise ParseError(str(exc), source=path, line=at) from None
         return value
 
-    with _read_table(path, ("budget", "cost")) as (line, header, found, rows, _):
+    table = _read_table(path, ("budget", "cost"), repeated=("cost",))
+    with table as (line, header, found, rows, _):
         for at, name, value in found:
             if name == "budget":
-                if budget is not None:
-                    raise ParseError("duplicate budget directive", source=path, line=at)
                 budget = amount(value, at, "budget")
                 continue
             cid, equals, text = (part.strip() for part in value.partition("="))
@@ -574,8 +572,6 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
     totals = None
     with _read_table(path, ("totals",)) as (line, header, found, _, rest):
         for at, _, value in found:
-            if totals is not None:
-                raise ParseError("duplicate totals directive", source=path, line=at)
             parts = value.split(",")
             if len(parts) != 3:
                 raise ParseError("totals directive needs 3 numbers", source=path, line=at)
@@ -590,53 +586,51 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
     header = (EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total")
     values = np.column_stack((indicators.values, indicators.per_period_totals()))
-    return _write_table(path, header, periods=indicators.periods, values=values)
+    directives = zip(_RUN_DIRECTIVES, (indicators.k, indicators.mode))
+    return _write_table(path, header, (), directives, indicators.periods, values)
 
 
-def read_indicator_column(path, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-period aggregate column of an indicator table or plot file.
 
-    Every cell must be a finite number. Given the window ``k``, the file
-    must be an output of that window: its periods start at k + 1, or at
-    1 with zero rows 1..k (plot data written with ``pad_warmup``), and
-    those rows are dropped. A ``k`` below 2 is the window length error
-    of any analysis, raised before the file is read.
+    Its ``# k:`` and ``# mode:`` directives must state ``k`` and ``mode``:
+    one missing (files written without them must be regenerated), repeated
+    or of another value is an error at its line (the header's, if missing),
+    raised before any row is converted. Every cell must be a finite number.
+    Periods start at k + 1, or at 1 with zero rows 1..k (plot data written
+    with ``pad_warmup``), which are dropped; the error for a misplaced row
+    names its period. A ``k`` below 2 is the window length error of any
+    analysis, raised before the file is read.
     """
-    if k is not None:
-        _check_window_length(k)
-
-    def window_fit(first):
-        def misfit(t, row):
-            # Written with | and &, so it holds for one row and for every row at once.
-            return (first not in (1, k + 1)) | ((t <= k) & (row[-1] != 0.0))
-
-        message = (
-            f"first period {first} does not fit window {k}: an indicator output "
-            f"starts at period {k + 1}, or at 1 with zero rows 1..{k}"
-        )
-        return misfit, message
-
-    with _read_table(path) as (line, header, _, _, rest):
+    _check_window_length(k)
+    stated = dict(zip(_RUN_DIRECTIVES, (str(k), mode)))
+    with _read_table(path, _RUN_DIRECTIVES) as (line, header, found, _, rest):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
-        # A file the fast path refuses is scanned once, checking the window fit as it goes.
-        periods, values = _read_values(path, header, rest, {}, None if k is None else window_fit)
-    if k is None:
-        return periods, values[:, -1].copy()
-    misfit, message = window_fit(periods[0] if periods.size else k + 1)
-    if misfit(periods, values.T).any():
-        _scan_values(path, {}, rule=window_fit)
-        raise ParseError(message, source=path)  # the file changed and fits the window now
-    keep = periods > k
-    if not keep.any():
+        for at, name, value in found:
+            if value != stated[name]:
+                message = f"indicator output of {name} {value}, not {stated[name]}"
+                raise ParseError(message, source=path, line=at)
+        for name in stated:
+            if all(name != given for _, given, _ in found):
+                message = f"missing '# {name}:' directive: regenerate this indicator output"
+                raise ParseError(message, source=path, line=line)
+        periods, values = _read_values(path, header, rest, dict(directives=_RUN_DIRECTIVES))
+    warm_up = periods <= k
+    starts_right = periods[:1].tolist() in ([], [1], [k + 1])
+    unfit = periods[(warm_up & (values[:, -1] != 0.0)) | (not starts_right)]
+    if unfit.size:
+        fits = f"an indicator output starts at period {k + 1}, or at 1 with zero rows 1..{k}"
+        raise ParseError(f"period {unfit[0]} does not fit window {k}: {fits}", source=path)
+    if warm_up.all():
         raise ParseError(f"no period after the warm-up 1..{k}", source=path, line=line)
-    return periods[keep], values[keep, -1]
+    return periods[~warm_up], values[~warm_up, -1]
 
 
-def write_plot_data(path, periods, aggregates) -> Path:
+def write_plot_data(path, periods, aggregates, k: int, mode: str) -> Path:
     values = np.asarray(aggregates)[:, None]
-    return _write_table(path, PLOT_HEADER, periods=periods, values=values)
+    return _write_table(path, PLOT_HEADER, (), zip(_RUN_DIRECTIVES, (k, mode)), periods, values)
 
 
 # --- analysis reports ------------------------------------------------------
@@ -654,12 +648,16 @@ def emit_report(
     file per regime, indicators emit ``indicators.csv`` plus ``plot.csv``,
     and ``metadata.json`` always comes last. With ``pad_warmup`` the plot
     files gain zero rows for the warm-up periods 1..k (flagged in the
-    metadata) so external plots align with the raw period axis.
+    metadata) so external plots align with the raw period axis. The tables
+    and plot files state ``k`` and ``mode``, which ``indicators`` must share.
     """
     validate_mode(mode)
     _check_window_length(k)
     if (indicators is None) == (comparison is None):
         raise ValidationError("report needs exactly one of indicator records or a comparison")
+    if indicators is not None and (indicators.k, indicators.mode) != (k, mode):
+        made = f"window {indicators.k}, mode {indicators.mode!r}"
+        raise ValidationError(f"indicators of {made} in a report of window {k}, mode {mode!r}")
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
     periods = (indicators if comparison is None else comparison).periods
@@ -676,7 +674,8 @@ def emit_report(
         periods = np.concatenate([np.arange(1, k + 1), periods])
         plots = {name: np.concatenate([np.zeros(k), v]) for name, v in plots.items()}
     written = [table]
-    written += [write_plot_data(destination / name, periods, v) for name, v in plots.items()]
+    for name, column in plots.items():
+        written.append(write_plot_data(destination / name, periods, column, k, mode))
     metadata = {"k": k, "mode": mode, "seed": seed, "pad_warmup": bool(pad_warmup)}
     text = json.dumps(metadata, indent=2, sort_keys=True) + "\n"
     written.append(atomic_write_text(destination / "metadata.json", text))

@@ -252,6 +252,11 @@ def write_plot(path, lines):
     return path
 
 
+def stated(k, mode="raw"):
+    """The directive lines of an indicator output made with window k and mode."""
+    return [f"# k: {k}", f"# mode: {mode}"]
+
+
 def test_analyze_rejects_padded_plot_file(tmp_path, scenario_path, capsys):
     data = tmp_path / "data"
     run(["generate", "--config", scenario_path, "--output-dir", data])
@@ -260,14 +265,14 @@ def test_analyze_rejects_padded_plot_file(tmp_path, scenario_path, capsys):
     code = run(["analyze", "--events", tmp_path / "padded" / "plot.csv",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
-    assert "plot.csv:1: header of an indicator output" in capsys.readouterr().err
+    assert "plot.csv:1: '# k:' directive of an indicator output" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_compare_and_reader_agree_on_plot_file_with_directive(tmp_path, capsys):
     plot = write_plot(tmp_path / "plot.csv", ["# run: 7", "t,v_total", "6,1.0", "7,2.0"])
     with pytest.raises(ParseError, match="unknown directive") as excinfo:
-        read_indicator_column(plot)
+        read_indicator_column(plot, 5, "raw")
     code = run(["compare", "--basic", plot, "--treated", plot, "--window", "5",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
@@ -275,11 +280,11 @@ def test_compare_and_reader_agree_on_plot_file_with_directive(tmp_path, capsys):
 
 
 def test_compare_rejects_plot_file_with_periods_out_of_order(tmp_path, capsys):
-    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", "5,1.0", "3,2.0", "3,3.0"])
+    plot = write_plot(tmp_path / "plot.csv", [*stated(4), "t,v_total", "5,1.0", "3,2.0", "3,3.0"])
     code = run(["compare", "--basic", plot, "--treated", plot, "--window", "4",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
-    assert "plot.csv:3: period 3 precedes the first period 5" in capsys.readouterr().err
+    assert "plot.csv:5: period 3 precedes the first period 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -300,9 +305,10 @@ def test_compare_reads_padded_plot_files_from_after_the_warm_up(tmp_path, scenar
     assert run(["compare", "--basic", basic / "plot.csv", "--treated", treated / "plot.csv",
                 "--window", "4", "--pad-warmup", "--output-dir", out]) == 0
     for name in ("plot_basic.csv", "plot_ddescr.csv"):
-        periods, values = read_indicator_column(out / name)
-        assert periods.tolist() == list(range(1, 31))
-        assert np.array_equal(values[:4], np.zeros(4))
+        lines = (out / name).read_text().splitlines()
+        assert lines[:7] == [*stated(4), "t,v_total", "1,0.0", "2,0.0", "3,0.0", "4,0.0"]
+        periods, _ = read_indicator_column(out / name, 4, "raw")
+        assert periods.tolist() == list(range(5, 31))
     events = tmp_path / "cmp_events"
     run(["compare", "--basic", tmp_path / "data" / "events_baseline.csv",
          "--treated", tmp_path / "data" / "events_treated.csv",
@@ -317,24 +323,68 @@ def test_compare_rejects_indicator_output_of_another_window(tmp_path, scenario_p
                 "--window", "5", "--output-dir", tmp_path / "out"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "indicators.csv:2: first period 13 does not fit window 5" in err
+    assert f"error: {made / 'indicators.csv'}:1: indicator output of k 12, not 5\n" == err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "rows, line",
-    [
-        (["1,0.0", "2,0.5", "3,1.0"], 3),  # starts at 1 but row 2 of the warm-up is not zero
-        (["2,0.0", "3,1.0"], 2),  # starts inside the warm-up
-        (["1,0.0", "2,0.0"], 1),  # nothing after the warm-up
-    ],
+    "window, mode, line, message",
+    [("5", "raw", 2, "mode standardized, not raw"), ("4", "standardized", 1, "k 5, not 4")],
+    ids=["mode", "window"],
 )
-def test_compare_rejects_plot_file_that_fits_no_window_form(tmp_path, capsys, rows, line):
-    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", *rows])
+def test_compare_rejects_indicator_outputs_stating_another_run(
+    tmp_path, scenario_path, capsys, window, mode, line, message
+):
+    # Both regimes' outputs state window 5 and standardized mode.
+    basic = analyze_to(tmp_path, scenario_path, "baseline", "5", "--mode", "standardized")
+    treated = analyze_to(tmp_path, scenario_path, "treated", "5", "--mode", "standardized")
+    for name in ("indicators.csv", "plot.csv"):
+        code = run(["compare", "--basic", basic / name, "--treated", treated / name,
+                    "--window", window, "--mode", mode, "--output-dir", tmp_path / "out"])
+        assert code == 1
+        expected = f"error: {basic / name}:{line}: indicator output of {message}\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_indicator_output_without_directives(tmp_path, capsys):
+    # An output written before outputs stated their run: t,v_total from period 1.
+    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", "1,0.0", "2,0.0", "3,1.5"])
     code = run(["compare", "--basic", plot, "--treated", plot, "--window", "2",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
-    assert f"plot.csv:{line}: " in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {plot}:1: missing '# k:' directive: regenerate this indicator output\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, period",
+    [
+        (["1,0.0", "2,0.0", "3,0.5", "4,1.0"], 3),  # starts at 1 but warm-up row 3 is not zero
+        (["2,0.0", "3,1.0"], 2),  # starts inside the warm-up
+        (["1,0.5", "2,0.0", "3,0.0", "4,1.0"], 1),  # starts at 1 but warm-up row 1 is not zero
+    ],
+)
+def test_compare_rejects_plot_file_that_fits_no_window_form(tmp_path, capsys, rows, period):
+    plot = write_plot(tmp_path / "plot.csv", [*stated(3), "t,v_total", *rows])
+    code = run(["compare", "--basic", plot, "--treated", plot, "--window", "3",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {plot}: period {period} does not fit window 3: an indicator output starts "
+        "at period 4, or at 1 with zero rows 1..3\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_plot_file_with_nothing_after_the_warm_up(tmp_path, capsys):
+    plot = write_plot(tmp_path / "plot.csv", [*stated(2), "t,v_total", "1,0.0", "2,0.0"])
+    code = run(["compare", "--basic", plot, "--treated", plot, "--window", "2",
+                "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {plot}:3: no period after the warm-up 1..2\n"
 
 
 def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, scenario_path, capsys):
@@ -419,16 +469,15 @@ def test_indicator_output_cells_must_be_finite_numbers(
 ):
     table = analyze_to(tmp_path, scenario_path, "baseline", "2") / "indicators.csv"
     lines = table.read_text().splitlines()
-    assert lines[0].split(",")[2] == "logging.2"
-    row = lines[3].split(",")
+    assert lines[:2] == stated(2) and lines[2].split(",")[2] == "logging.2"
+    row = lines[5].split(",")
     row[2] = cell
-    lines[3] = ",".join(row)
+    lines[5] = ",".join(row)
     table.write_text("\n".join(lines) + "\n")
-    expected = f"{table}:4: column 'logging.2': {problem}"
-    for k in (None, 2):
-        with pytest.raises(ParseError) as excinfo:
-            read_indicator_column(table, k)
-        assert str(excinfo.value) == expected
+    expected = f"{table}:6: column 'logging.2': {problem}"
+    with pytest.raises(ParseError) as excinfo:
+        read_indicator_column(table, 2, "raw")
+    assert str(excinfo.value) == expected
     capsys.readouterr()
     code = run(["compare", "--basic", table, "--treated", table, "--window", "2",
                 "--output-dir", tmp_path / "out"])

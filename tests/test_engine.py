@@ -234,6 +234,16 @@ def test_compare_accepts_indicator_series(make_series):
     )
 
 
+def test_compare_rejects_indicator_series_of_different_modes(make_series):
+    series = make_series(1, 12, 3)
+    raw, standardized = (indicator_series(series, 4, mode) for mode in ("raw", "standardized"))
+    message = "regimes differ in mode: basic 'raw', treated 'standardized'"
+    with pytest.raises(ValidationError, match=message):
+        compare_regimes(raw, standardized)
+    # A (periods, values) column states no mode, so it pairs with either.
+    compare_regimes(raw, (standardized.periods, standardized.per_period_totals()))
+
+
 # --- naive oracle -----------------------------------------------------------
 
 

@@ -285,10 +285,10 @@ def test_emit_single_run_report(tmp_path, make_series):
     written = emit_report(tmp_path / "out", **report)
     names = [path.name for path in written]
     assert names == ["indicators.csv", "plot.csv", "metadata.json"]
-    periods, totals = read_indicator_column(tmp_path / "out" / "indicators.csv")
+    periods, totals = read_indicator_column(tmp_path / "out" / "indicators.csv", 4, "raw")
     assert periods.tolist() == indicators.periods.tolist()
     assert np.array_equal(totals, indicators.per_period_totals())
-    plot_periods, plot_totals = read_indicator_column(tmp_path / "out" / "plot.csv")
+    plot_periods, plot_totals = read_indicator_column(tmp_path / "out" / "plot.csv", 4, "raw")
     assert np.array_equal(plot_totals, indicators.per_period_totals())
     metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert metadata == {"k": 4, "mode": "raw", "seed": 3, "pad_warmup": False}
@@ -330,7 +330,7 @@ def test_emit_single_period_report(tmp_path, make_series):
     indicators = indicator_series(series, 4)  # exactly one evaluable period
     emit_report(tmp_path / "out", 4, "raw", indicators=indicators)
     lines = (tmp_path / "out" / "indicators.csv").read_text().splitlines()
-    assert len(lines) == 2  # header + one data row
+    assert len(lines) == 4  # two directives, the header and one data row
     assert (tmp_path / "out" / "metadata.json").exists()
 
 
@@ -347,12 +347,30 @@ def test_emission_is_byte_identical(tmp_path, make_series):
 def test_pad_warmup_plot_rows(tmp_path, make_series):
     report, indicators = indicator_report(make_series, k=4)
     emit_report(tmp_path / "out", **report, pad_warmup=True)
-    periods, totals = read_indicator_column(tmp_path / "out" / "plot.csv")
-    assert periods.tolist() == list(range(1, 13))
-    assert np.array_equal(totals[:4], np.zeros(4))
-    assert np.array_equal(totals[4:], indicators.per_period_totals())
+    lines = (tmp_path / "out" / "plot.csv").read_text().splitlines()
+    assert lines[:7] == ["# k: 4", "# mode: raw", "t,v_total", "1,0.0", "2,0.0", "3,0.0", "4,0.0"]
+    periods, totals = read_indicator_column(tmp_path / "out" / "plot.csv", 4, "raw")
+    assert periods.tolist() == list(range(5, 13))
+    assert np.array_equal(totals, indicators.per_period_totals())
     metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert metadata["pad_warmup"] is True
+
+
+@pytest.mark.parametrize(
+    "k, mode, message",
+    [
+        (5, "raw", "indicators of window 4, mode 'raw' in a report of window 5, mode 'raw'"),
+        (4, "standardized",
+         "indicators of window 4, mode 'raw' in a report of window 4, mode 'standardized'"),
+    ],
+    ids=["window", "mode"],
+)
+def test_report_refuses_indicators_of_another_run(tmp_path, make_series, k, mode, message):
+    # The directives of every output file come from the report's k and mode.
+    _, indicators = indicator_report(make_series, k=4)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        emit_report(tmp_path / "out", k, mode, indicators=indicators, pad_warmup=True)
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_requires_some_content(tmp_path):
@@ -414,8 +432,8 @@ def test_write_events_refuses_reserved_last_label(tmp_path, last):
 
 
 def test_indicator_column_skips_leading_blank_line(tmp_path):
-    path = write_lines(tmp_path / "plot.csv", ["", "t,v_total", "5,1.5", "6,2.5"])
-    periods, values = read_indicator_column(path)
+    lines = ["", "# k: 4", "", "# mode: raw", "t,v_total", "5,1.5", "6,2.5"]
+    periods, values = read_indicator_column(write_lines(tmp_path / "plot.csv", lines), 4, "raw")
     assert periods.tolist() == [5, 6]
     assert values.tolist() == [1.5, 2.5]
 
@@ -423,16 +441,17 @@ def test_indicator_column_skips_leading_blank_line(tmp_path):
 @pytest.mark.parametrize(
     "lines, line, match",
     [
-        # the first '#' line is what is wrong: plot files carry no directives
-        (["# a: 1", "# b: 2", "t,v_total", "5,1.0", "6,oops"], 1, "unknown directive"),
-        # a quoted label spans lines 1-2, so the bad cell sits on physical line 5
-        (['t,"x', 'y",total', "", "5,1.0,1.0", "6,2.0,oops"], 5, "not a number"),
+        # the first '#' line is what is wrong: plot files carry only '# k:' and '# mode:'
+        (["# a: 1", "# k: 4", "# mode: raw", "t,v_total", "5,1.0", "6,oops"], 1,
+         "unknown directive"),
+        # a quoted label spans lines 3-4, so the bad cell sits on physical line 5
+        (["# k: 4", "# mode: raw", 't,"x', 'y",total', "5,1.0,oops"], 5, "not a number"),
     ],
 )
 def test_indicator_column_errors_name_the_physical_line(tmp_path, lines, line, match):
     path = write_lines(tmp_path / "indicators.csv", lines)
     with pytest.raises(ParseError, match=match) as excinfo:
-        read_indicator_column(path)
+        read_indicator_column(path, 4, "raw")
     assert excinfo.value.line == line
 
 
@@ -445,10 +464,19 @@ def test_indicator_column_errors_name_the_physical_line(tmp_path, lines, line, m
     ],
 )
 def test_indicator_periods_run_densely_from_the_first_row(tmp_path, rows, match):
-    path = write_lines(tmp_path / "plot.csv", ["t,v_total", *rows])
+    path = write_lines(tmp_path / "plot.csv", ["# mode: raw", "# k: 4", "t,v_total", *rows])
     with pytest.raises(ParseError, match=match) as excinfo:
-        read_indicator_column(path)
-    assert excinfo.value.line == 3
+        read_indicator_column(path, 4, "raw")
+    assert excinfo.value.line == 5
+
+
+@pytest.mark.parametrize("directive", ["# k: 4", "# mode: raw"])
+def test_event_file_may_not_state_a_run(tmp_path, directive):
+    path = write_lines(tmp_path / "events.csv", ["", directive, "t,a", "1,1.0", "2,3.0"])
+    assert not is_indicator_output(path)
+    with pytest.raises(ParseError, match="directive of an indicator output") as excinfo:
+        parse_events(path)
+    assert excinfo.value.line == 2
 
 
 def test_directive_after_header_rejected(tmp_path):
@@ -501,10 +529,11 @@ def test_indicator_and_plot_writers_bytes_match_csv_writer(tmp_path):
     table = write_indicator_table(indicators, tmp_path / "indicators.csv")
     rows = np.column_stack((values, indicators.per_period_totals()))
     header = ("t", *AWKWARD_LABELS, "total")
-    assert table.read_bytes() == csv_reference(header, periods, rows)
+    run = [("k", 4), ("mode", "raw")]
+    assert table.read_bytes() == csv_reference(header, periods, rows, run)
     aggregates = np.array(EDGE_VALUES[:6])
-    plot = write_plot_data(tmp_path / "plot.csv", periods, aggregates)
-    assert plot.read_bytes() == csv_reference(("t", "v_total"), periods, aggregates[:, None])
+    plot = write_plot_data(tmp_path / "plot.csv", periods, aggregates, 4, "raw")
+    assert plot.read_bytes() == csv_reference(("t", "v_total"), periods, aggregates[:, None], run)
 
 
 def test_comparison_writer_bytes_match_csv_writer(tmp_path):

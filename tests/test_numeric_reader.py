@@ -80,6 +80,15 @@ MUTATIONS = st.one_of(
 )
 
 
+# The window and mode each indicator reader asks for, which its tables state.
+RUNS = {"indicator": (4, "raw"), "indicator, window 2": (2, "standardized")}
+
+
+def stated(kind):
+    """The ``# k:`` and ``# mode:`` lines that the reader of ``kind`` accepts, if any."""
+    return "".join(f"# {name}: {value}\n" for name, value in zip(("k", "mode"), RUNS.get(kind, ())))
+
+
 def headers(kind, width):
     """Plain, quoted and quoted two-line headers for a reader and a data width."""
     if kind == "comparison":
@@ -92,10 +101,16 @@ def headers(kind, width):
 
 
 @st.composite
-def table_texts(draw, kind):
+def table_texts(draw, reader):
+    """A table for the reader named ``reader`` in READERS; its kind is the name's first word."""
+    run = RUNS.get(reader)
+    kind = reader.split(",")[0]
     width = 3 if kind == "comparison" else draw(st.integers(1, 3))
     # Periods from 2**63 - 3 run past int64, where numpy's own periods turn to floats.
-    first = 1 if kind == "events" else draw(st.sampled_from([*range(-3, 13), 2**63 - 3]))
+    firsts = st.sampled_from([*range(-3, 13), 2**63 - 3])
+    if run:
+        firsts = st.one_of(st.just(run[0] + 1), firsts)
+    first = 1 if kind == "events" else draw(firsts)
     n = draw(st.integers(0, 6))
     cells = st.lists(PLAIN_CELLS, min_size=width, max_size=width)
     rows = [[str(first + i), *draw(cells)] for i in range(n)]
@@ -133,7 +148,17 @@ def table_texts(draw, kind):
                 token = str(first + at + shift)
             rows[at][0] = token
     preamble_lines = st.sampled_from(["", "   ", "# totals: 1,2,3", "# totals: 4, 5 ,6"])
-    preamble = draw(st.lists(preamble_lines, max_size=2))
+    if run:
+        # The two directives the reader accepts, in either order. One time in eight the
+        # k line gives way to a blank line, a k of another run or a second mode line:
+        # an error before any cell is read.
+        preamble_lines = st.sampled_from(["", "   ", f"#k:{run[0] + 1}", "# mode:  raw "])
+        preamble = stated(reader).splitlines()
+        if draw(st.integers(0, 7)) == 7:
+            preamble = preamble[1:] + draw(st.lists(preamble_lines, min_size=1, max_size=2))
+        preamble = draw(st.permutations(preamble))
+    else:
+        preamble = draw(st.lists(preamble_lines, max_size=2))
     header = draw(st.sampled_from(headers(kind, width)))
     lines = [line + "\n" for line in preamble] + [header + draw(st.sampled_from(["\n", "\r\n"]))]
     for i, (row, ending) in enumerate(zip(rows, endings)):
@@ -160,8 +185,8 @@ def arrays(kind, result):
 READERS = {
     "events": parse_events,
     "comparison": read_comparison_table,
-    "indicator": read_indicator_column,
-    "indicator, window 2": lambda path: read_indicator_column(path, 2),
+    "indicator": lambda path: read_indicator_column(path, *RUNS["indicator"]),
+    "indicator, window 2": lambda path: read_indicator_column(path, *RUNS["indicator, window 2"]),
 }
 
 
@@ -183,7 +208,7 @@ def scanned_outcome(kind, path):
 @PROPERTY
 @given(data=st.data())
 def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
-    text = data.draw(table_texts(kind.split(",")[0]), label="text")
+    text = data.draw(table_texts(kind), label="text")
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert outcome(kind, path) == scanned_outcome(kind, path)
@@ -205,7 +230,7 @@ def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
 )
 def test_tables_loadtxt_reads_unlike_the_streamed_path_take_it(tmp_path, kind, text):
     path = tmp_path / "table.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(stated(kind) + text, encoding="utf-8")
     expected = scanned_outcome(kind, path)
     with mock.patch.object(rio, "_scan_values", wraps=rio._scan_values) as scanned:
         assert outcome(kind, path) == expected
@@ -267,7 +292,7 @@ def written_tables(directory):
     return [
         (write_events(model, directory / "events.csv"), "events", [model.events, np.array(labels)]),
         (write_indicator_table(treated, directory / "indicators.csv"), "indicator", column),
-        (write_plot_data(directory / "plot.csv", *column), "indicator", column),
+        (write_plot_data(directory / "plot.csv", *column, 4, "raw"), "indicator", column),
         (
             write_comparison_table(directory / "comparison.csv", comparison, totals),
             "comparison",
@@ -312,35 +337,47 @@ def test_header_only_event_file_raises_without_a_warning(tmp_path):
 # --- how often a refused file is read ----------------------------------------
 
 
+def read_window_3(path):
+    return read_indicator_column(path, 3, "raw")
+
+
 @pytest.mark.parametrize(
-    "text, read, message",
+    "text, read, message, opens",
     [
-        ("t,a\n1,2\n2,x\n", parse_events, "3: column 'a': 'x' is not a number"),
-        ("t,v_total\n2,1\n3,1\n", lambda path: read_indicator_column(path, 3), "2: first period 2"),
-        # loadtxt refuses 1_0, so the one scan must also find the misfit.
-        ("t,v_total\n2,1_0\n3,1\n", lambda path: read_indicator_column(path, 3), "2: first period 2"),
+        ("t,a\n1,2\n2,x\n", parse_events, ":3: column 'a': 'x' is not a number", 2),
+        # The window fit is checked on the arrays already read, and names the period.
+        ("# k: 3\n# mode: raw\nt,v_total\n2,1\n3,1\n", read_window_3, ": period 2 does not", 1),
+        # loadtxt refuses 1_0, so the one scan reads the arrays the fit is checked on.
+        ("# k: 3\n# mode: raw\nt,v_total\n2,1_0\n3,1\n", read_window_3, ": period 2 does not", 2),
     ],
     ids=["bad last cell", "misfitting window", "refused and misfitting"],
 )
-def test_a_refused_file_is_read_at_most_twice(tmp_path, text, read, message):
+def test_a_refused_file_is_read_at_most_twice(tmp_path, text, read, message, opens):
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8")
     with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
-        with pytest.raises(ParseError, match=re.escape(f"{path}:{message}")):
+        with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
             read(path)
-    assert opened.call_count == 2
+    assert opened.call_count == opens
 
 
-def test_a_misfit_gone_on_the_second_read_is_still_an_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "directives, message",
+    [
+        ("# k: 3\n# mode: standardized\n", "2: indicator output of mode standardized, not raw"),
+        ("# mode: raw\n# k: 4\n", "2: indicator output of k 4, not 3"),
+        ("# k: 3\n# mode: raw\n# k: 3\n", "3: duplicate k directive"),
+        ("# mode: raw\n", "2: missing '# k:' directive: regenerate this indicator output"),
+        ("\n# k: 3\n", "3: missing '# mode:' directive: regenerate this indicator output"),
+    ],
+    ids=["other-mode", "other-window", "duplicate", "no-window", "no-mode"],
+)
+def test_a_directive_that_does_not_state_the_run_costs_one_open(tmp_path, directives, message):
+    # loadtxt refuses 1_0, so converting any row would open the file a second time.
     path = tmp_path / "plot.csv"
-    path.write_text("t,v_total\n1,5\n2,0\n3,0\n4,1\n", encoding="utf-8")
-    scan = rio._scan_values
-
-    def scan_a_fitting_file(*args, **kwargs):
-        path.write_text("t,v_total\n1,0\n2,0\n3,0\n4,1\n", encoding="utf-8")
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(rio, "_scan_values", scan_a_fitting_file)
-    with pytest.raises(ParseError, match="first period 1 does not fit window 3") as caught:
-        read_indicator_column(path, 3)
-    assert caught.value.line is None and str(path) in str(caught.value)
+    path.write_text(directives + "t,v_total\n4,1_0\n5,1\n", encoding="utf-8")
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+        with pytest.raises(ParseError) as caught:
+            read_window_3(path)
+    assert str(caught.value) == f"{path}:{message}"
+    assert opened.call_count == 1

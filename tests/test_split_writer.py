@@ -40,7 +40,7 @@ def write_with(writer, path, rows, cols):
         indicators = IndicatorSeries(periods, values, k=4, mode="raw", channel_labels=labels)
         return write_indicator_table(indicators, path)
     if writer == "plot":
-        return write_plot_data(path, periods, values[:, 0])
+        return write_plot_data(path, periods, values[:, 0], 4, "raw")
     basic, treated = values[:, 0], values[:, -1]
     comparison = RegimeComparison(periods, basic, treated, treated - basic)
     return write_comparison_table(path, comparison, totals=(1.0 / 3.0, -0.0, 1e308))
