@@ -426,8 +426,12 @@ def compare_regimes(basic, treated) -> RegimeComparison:
             "regimes cover different period ranges: "
             f"basic {_span(basic_periods)}, treated {_span(treated_periods)}"
         )
-    delta = treated_values - basic_values
-    return RegimeComparison(basic_periods, basic_values, treated_values, delta)
+    return RegimeComparison(
+        periods=basic_periods,
+        basic=basic_values,
+        treated=treated_values,
+        delta=treated_values - basic_values,
+    )
 
 
 def naive_oracle(

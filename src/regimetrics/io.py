@@ -3,16 +3,19 @@
 Every format but the scenario is a delimited table: optional
 ``# name: value`` directives, a header row, then data rows as wide as
 the header, blank lines skipped; a leading ``t`` column runs densely by
-1. One reader (``_read_table``) and one writer (``_write_table``) serve:
+1. An indicator output's directives close the table instead, after its
+last row, so its first data row stays on line 2 as in outputs written
+without them. One reader (``_read_table``) and one writer
+(``_write_table``) serve:
 
 * event series: header ``t,<label1>,...,<labeln>``, periods from 1;
 * mapping: ``# budget:`` / ``# cost:`` directives followed by sparse
   ``competency_id,channel_label,flag`` rows (absent pairs default to 0);
 * comparison table: ``t,v_basic,v_ddescr,dv`` rows with an optional
   ``# totals:`` directive;
-* indicator table: ``# k:`` and ``# mode:`` directives (the window and
-  normalization it was made with), then ``t,<labels...>,total``;
-* plot data: the same two directives, then ``t,v_total`` pairs;
+* indicator table: ``t,<labels...>,total`` rows, closed by ``# k:`` and
+  ``# mode:`` directives (the window and normalization it was made with);
+* plot data: ``t,v_total`` pairs, closed by the same two directives;
 * descriptor catalog: ``level,level_name,skill_id,skill_name,request_id,
   request_text`` rows (its own rules live in ``catalog``).
 
@@ -51,6 +54,7 @@ import os
 import shutil
 import warnings
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +150,12 @@ def _is_indicator_header(header) -> bool:
 
 def is_indicator_output(path) -> bool:
     """Whether ``path`` holds an indicator table or plot data rather than an event series."""
-    with _read_table(path, _RUN_DIRECTIVES) as (_, header, _, _, _):
+    with _read_table(path) as (_, header, _, _, _):
         return _is_indicator_header(header)
 
 
 @contextmanager
-def _read_table(path, directives=(), first_period=None, repeated=()):
+def _read_table(path, directives=(), first_period=None, repeated=(), closing=()):
     """Open a delimited table; yield ``(line, header, found, rows, rest)``.
 
     ``line`` is the header's physical line and ``found`` the directives
@@ -160,11 +164,15 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
     ``rows`` streams ``(line, t, cells)`` per data row. When the header
     starts with ``t``, ``t`` must be ``first_period`` (by default the
     first row's own value) on the first row and go up by 1 on each later
-    row, and ``cells`` are the other fields; otherwise ``t`` is None. A
-    byte that is not UTF-8 is an error at its own line, raised when the
-    text around it is first read. ``rest`` is the open text handle just
-    after the header, for a reader that takes the data rows as raw text
-    instead of ``rows``; both read the same handle, so use only one.
+    row, and ``cells`` are the other fields; otherwise ``t`` is None.
+    ``closing`` names the directives that close the table instead: the
+    data rows end at the first line that starts with ``#``, and when
+    ``rows`` ends, the lines from there on are read by ``_read_closing``
+    into ``found``. A byte that is not UTF-8 is an error at its own line,
+    raised when the text around it is first read. ``rest`` is ``(line,
+    handle)``: the open text handle just after the header and the line it
+    is at, for a reader that takes the data rows as raw text instead of
+    ``rows``; both read the same handle, so use only one.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         lines = _decoded_lines(handle, path)
@@ -172,18 +180,22 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
         for header_line, raw in enumerate(lines, start=1):
             text = raw.strip()
             if text.startswith("#"):
-                name, colon, value = (part.strip() for part in text[1:].partition(":"))
-                if not colon or name not in directives:
-                    message = f"unknown directive {text[1:].strip()!r}"
-                    raise ParseError(message, source=path, line=header_line)
-                if name not in repeated and any(name == seen for _, seen, _ in found):
-                    raise ParseError(f"duplicate {name} directive", source=path, line=header_line)
-                found.append((header_line, name, value))
+                _add_directive(found, text, path, header_line, directives, repeated)
             elif text:
                 break
         else:
             raise ParseError("missing header", source=path, line=1)
-        reader = csv.reader(itertools.chain([raw], lines))
+        header = None  # set once the header is read: the data rows start after it
+        closed = []  # the first line of the closing directives, once met
+
+        def data_lines():
+            for raw in lines:
+                if closing and header is not None and raw.lstrip().startswith("#"):
+                    closed.append(raw)
+                    return
+                yield raw
+
+        reader = csv.reader(itertools.chain([raw], data_lines()))
         header = tuple(field.strip() for field in next(reader))
 
         def rows():
@@ -194,7 +206,7 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
                 line, read = header_line + read, reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if row[0].lstrip().startswith("#"):
+                if not closing and row[0].lstrip().startswith("#"):
                     raise ParseError("directives must precede the header", source=path, line=line)
                 if len(row) != len(header):
                     message = f"expected {len(header)} fields, got {len(row)}"
@@ -221,8 +233,38 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
                     raise ParseError(message, source=path, line=line)
                 expected += 1
                 yield line, t, row[1:]
+            if closed:
+                after = itertools.chain(closed, lines)
+                _read_closing(after, path, header_line + reader.line_num, closing, found)
 
-        yield header_line, header, found, rows(), handle
+        yield header_line, header, found, rows(), (header_line + reader.line_num, handle)
+
+
+def _add_directive(found, text, path, line, names, repeated=()) -> None:
+    """Add the ``# name: value`` line ``text`` to ``found`` as ``(line, name, value)``.
+
+    A name not in ``names`` is an error, and so is a second directive of
+    a name not in ``repeated``.
+    """
+    name, colon, value = (part.strip() for part in text[1:].partition(":"))
+    if not colon or name not in names:
+        raise ParseError(f"unknown directive {text[1:].strip()!r}", source=path, line=line)
+    if name not in repeated and any(name == seen for _, seen, _ in found):
+        raise ParseError(f"duplicate {name} directive", source=path, line=line)
+    found.append((line, name, value))
+
+
+def _read_closing(lines, path, line, names, found) -> None:
+    """Add the closing directives in ``lines``, the first at ``line``, to ``found``.
+
+    Only directives named in ``names`` and blank lines may follow the data.
+    """
+    for at, raw in enumerate(lines, start=line):
+        text = raw.strip()
+        if text and not text.startswith("#"):
+            raise ParseError("data row after the closing directives", source=path, line=at)
+        if text:
+            _add_directive(found, text, path, at, names)
 
 
 def _decoded_lines(handle, path):
@@ -232,49 +274,58 @@ def _decoded_lines(handle, path):
         raise not_utf8(path) from None
 
 
-def _write_table(path, header, rows=(), directives=(), periods=(), values=None) -> Path:
-    """Write ``# name: value`` directives, a header and rows atomically.
+def _write_table(
+    path, header, rows=(), directives=(), periods=(), values=None, closing=()
+) -> Path:
+    """Write ``# name: value`` directives, a header, rows and closing directives atomically.
 
     The header and ``rows`` go through ``csv``, which quotes labels as
-    needed. ``values`` is a 2-D float array written after them, one line
-    per row led by its period from ``periods``, each cell the shortest
-    round-trip repr: the bytes ``csv`` writes for ``fmt`` cells, which
-    never need quoting. Lines go to the file a block of rows at a time,
-    so no copy of the whole text is held.
-
-    A table of ``_SPLIT_CELLS`` cells or more, counting the period column,
-    is formatted by two processes (see ``_fork.forked``): a child writes
-    the second half of the rows to an anonymous file in the output
-    directory, appended after this process's first half. Without a child,
-    this process formats those rows too, so the bytes and errors are the
-    serial loop's.
+    needed. ``values`` is a 2-D float array written after them (see
+    ``_write_values``), and the ``closing`` directives come last.
     """
     with _atomic_open(path) as handle:
         handle.writelines(f"# {name}: {value}\n" for name, value in directives)
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        if values is None:
-            return Path(path)
-        periods = np.asarray(periods).astype(int).tolist()
-        values = np.asarray(values, dtype=float)
-        if len(values) * (values.shape[1] + 1) < _SPLIT_CELLS:
-            handle.writelines(_row_text(periods, values))
-            return Path(path)
-        mid = len(values) // 2
-
-        def second_half(out):
-            out.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
-
-        with forked(second_half, dir=Path(path).parent) as collect:
-            handle.writelines(_row_text(periods[:mid], values[:mid]))
-            tail = collect()
-            if tail is None:
-                handle.writelines(_row_text(periods[mid:], values[mid:]))
-            else:
-                handle.flush()
-                shutil.copyfileobj(tail, handle.buffer)
+        if values is not None:
+            _write_values(handle, Path(path).parent, periods, values)
+        handle.writelines(f"# {name}: {value}\n" for name, value in closing)
     return Path(path)
+
+
+def _write_values(handle, directory, periods, values) -> None:
+    """Write a 2-D float array to ``handle``, each row led by its period from ``periods``.
+
+    Each cell is the shortest round-trip repr: the bytes ``csv`` writes
+    for ``fmt`` cells, which never need quoting. Lines go to the file a
+    block of rows at a time, so no copy of the whole text is held.
+
+    A table of ``_SPLIT_CELLS`` cells or more, counting the period column,
+    is formatted by two processes (see ``_fork.forked``): a child writes
+    the second half of the rows to an anonymous file in ``directory``,
+    appended after this process's first half. Without a child, this
+    process formats those rows too, so the bytes and errors are the
+    serial loop's.
+    """
+    periods = np.asarray(periods).astype(int).tolist()
+    values = np.asarray(values, dtype=float)
+    if len(values) * (values.shape[1] + 1) < _SPLIT_CELLS:
+        handle.writelines(_row_text(periods, values))
+        return
+    mid = len(values) // 2
+
+    def second_half(out):
+        out.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
+
+    with forked(second_half, dir=directory) as collect:
+        handle.writelines(_row_text(periods[:mid], values[:mid]))
+        tail = collect()
+        if tail is None:
+            handle.writelines(_row_text(periods[mid:], values[mid:]))
+        else:
+            handle.flush()
+            shutil.copyfileobj(tail, handle.buffer)
 
 
 def _row_text(periods, values):
@@ -302,14 +353,11 @@ def parse_events(path) -> EnterpriseModel:
     """Read an event-series file into a model.
 
     Periods run densely from 1, every cell must be a finite number, and
-    the header or a ``# k:`` / ``# mode:`` directive of an indicator output
-    is rejected.
+    the header of an indicator output is rejected.
     """
-    with _read_table(path, _RUN_DIRECTIVES, first_period=1) as (line, header, found, _, rest):
+    with _read_table(path, first_period=1) as (line, header, _, _, rest):
         labels = header[1:]
-        if found:
-            problem, line = f"'# {found[0][1]}:' directive of an indicator output", found[0][0]
-        elif header[0] != EVENT_PERIOD_COLUMN:
+        if header[0] != EVENT_PERIOD_COLUMN:
             problem = f"first header column must be {EVENT_PERIOD_COLUMN!r}"
         elif not labels:
             problem = "at least one channel column is required"
@@ -321,7 +369,7 @@ def parse_events(path) -> EnterpriseModel:
             problem = None
         if problem:
             raise ParseError(problem, source=path, line=line)
-        _, events = _read_values(path, header, rest, dict(first_period=1))
+        _, events, _ = _read_values(path, header, rest, dict(first_period=1))
     if not events.size:
         raise ParseError("no data rows (t_max = 0)", source=path, line=line)
     return EnterpriseModel(events=events, channel_labels=labels)
@@ -337,42 +385,61 @@ _PLAIN = b"0123456789.eE+-, \n\r"
 _PLAIN_BLOCK_CHARS = 1 << 16
 
 
-def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray]:
-    """Periods and cells of a table whose header starts with ``t``.
+def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray, list]:
+    """Periods, cells and closing directives of a table whose header starts with ``t``.
 
-    ``rest`` is the open text after the header, and ``table`` holds the
-    table's ``_read_table`` arguments. Plain numeric data (``\\r`` only at a
-    line end) is converted by one ``np.loadtxt`` call (``_load_plain``),
-    with the dense ``t`` rule and finiteness checked on its arrays. Any
-    refusal, an embedded ``\\r`` among them, defers to the one scan
-    (``_scan_values``), the file's second and last read, which stops at the
-    first bad cell; so both paths give the same arrays or the same error.
+    ``rest`` is ``_read_table``'s ``(line, handle)`` after the header, and
+    ``table`` holds the table's ``_read_table`` arguments. Plain numeric
+    data (``\\r`` only at a line end) is converted by one ``np.loadtxt``
+    call (``_load_plain``), with the dense ``t`` rule and finiteness
+    checked on its arrays. Any refusal, an embedded ``\\r`` among them,
+    defers to the one scan (``_scan_values``), the file's second and last
+    read, which stops at the first bad cell; so both paths give the same
+    arrays or the same error. The closing directives, as ``(line, name,
+    value)``, are read after the rows on either path.
     """
     try:
-        return _load_plain(rest, len(header) - 1, table.get("first_period"))
+        width, first_period = len(header) - 1, table.get("first_period")
+        return _load_plain(path, rest, width, first_period, table.get("closing", ()))
     except (ValueError, Warning):
         pass  # the scan is the reference, so every refusal here defers to it
     return _scan_values(path, table)
 
 
-def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
-    """Periods and values of plain numeric data rows, by one ``np.loadtxt`` call.
+def _load_plain(path, rest, width, first_period, closing) -> tuple[np.ndarray, np.ndarray, list]:
+    """Periods, values and closing directives of plain numeric rows, by one ``np.loadtxt`` call.
 
     ``t`` is read as int64, so it is parsed as ``int()`` would and ``1.0``
     is refused. The text is checked against the plain alphabet a block at
     a time as loadtxt takes it, so no second copy of it is held. Raises
     ValueError when the text leaves the alphabet or breaks the dense ``t``
     rule or finiteness; loadtxt's own errors, and its warnings (made
-    errors, so that a table without data rows raises), propagate.
+    errors, so that a table without data rows raises), propagate. In a
+    table with closing directives the data ends at the first ``#``, which
+    must start a line; the lines from there on are read by
+    ``_read_closing`` once the rows are accepted, numbered by the line
+    ends before them.
     """
+    line, handle = rest
+    after = []  # the text from the first closing directive on
 
     def lines():
+        nonlocal line
         # Each block ends at a line end, so no row is split between two blocks.
-        while block := rest.read(_PLAIN_BLOCK_CHARS):
-            block += rest.readline()
+        while block := handle.read(_PLAIN_BLOCK_CHARS):
+            block += handle.readline()
+            if closing:
+                block, mark, tail = block.partition("#")
+                if mark:
+                    if block[-1:] not in ("", "\n"):
+                        raise ValueError("'#' inside a data row")
+                    after.append(mark + tail + handle.read())
             if not block.isascii() or block.encode("ascii").translate(None, _PLAIN):
                 raise ValueError("not plain numeric data")
+            line += block.count("\n")
             yield from block.split("\n")
+            if after:
+                return
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -388,20 +455,25 @@ def _load_plain(rest, width, first_period) -> tuple[np.ndarray, np.ndarray]:
     # Cut at the int64 limit, so rows that run past it are never dense.
     periods = np.arange(start, min(start + len(data), _INT64.max + 1), dtype=np.int64)
     values = np.ascontiguousarray(data["v"])
-    dense = first_period in (None, start) and np.array_equal(data["t"], periods)
-    if not dense or not np.isfinite(values).all():
-        raise ValueError("periods not dense from the first period, or a cell not finite")
-    return periods, values
+    if first_period not in (None, start) or not np.array_equal(data["t"], periods):
+        raise ValueError("periods do not run densely from the first period")
+    if not np.isfinite(values).all():
+        raise ValueError("a cell is not finite")
+    found = []
+    if after:
+        _read_closing(StringIO(after[0], newline=""), path, line, closing, found)
+    return periods, values, found
 
 
-def _scan_values(path, table) -> tuple[np.ndarray, np.ndarray]:
-    """Periods and cells of a table, read once more through ``_read_table``'s rows.
+def _scan_values(path, table) -> tuple[np.ndarray, np.ndarray, list]:
+    """Periods, cells and closing directives of a table, read once more through ``_read_table``.
 
     ``table`` holds the ``_read_table`` arguments. Each cell is converted
     by ``_parse_float``, so the first bad cell in file order raises with
     its line, and the cells go straight into one array.
     """
-    with _read_table(path, **table) as (_, header, _, rows, _):
+    with _read_table(path, **table) as (_, header, found, rows, _):
+        leading = len(found)
         first = next(rows, (None, 1, ()))  # a table without rows reads as periods from 1
         scanned = (
             _parse_float(cell, path, at, label)
@@ -410,7 +482,8 @@ def _scan_values(path, table) -> tuple[np.ndarray, np.ndarray]:
         )
         values = np.fromiter(scanned, dtype=float)
     values = values.reshape(-1, len(header) - 1)
-    return np.arange(first[1], first[1] + len(values), dtype=np.int64), values
+    periods = np.arange(first[1], first[1] + len(values), dtype=np.int64)
+    return periods, values, found[leading:]
 
 
 # --- competency mapping ----------------------------------------------------
@@ -579,24 +652,25 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
         if header != COMPARISON_HEADER:
             message = f"header must be {','.join(COMPARISON_HEADER)}"
             raise ParseError(message, source=path, line=line)
-        periods, values = _read_values(path, header, rest, dict(directives=("totals",)))
+        periods, values, _ = _read_values(path, header, rest, dict(directives=("totals",)))
     return RegimeComparison(periods, *values.T), totals
 
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
     header = (EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total")
     values = np.column_stack((indicators.values, indicators.per_period_totals()))
-    directives = zip(_RUN_DIRECTIVES, (indicators.k, indicators.mode))
-    return _write_table(path, header, (), directives, indicators.periods, values)
+    run = zip(_RUN_DIRECTIVES, (indicators.k, indicators.mode))
+    return _write_table(path, header, periods=indicators.periods, values=values, closing=run)
 
 
 def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-period aggregate column of an indicator table or plot file.
 
-    Its ``# k:`` and ``# mode:`` directives must state ``k`` and ``mode``:
-    one missing (files written without them must be regenerated), repeated
-    or of another value is an error at its line (the header's, if missing),
-    raised before any row is converted. Every cell must be a finite number.
+    The ``# k:`` and ``# mode:`` directives after its last row must state
+    ``k`` and ``mode``: one missing (files written without them must be
+    regenerated), repeated or of another value is an error at its line
+    (the header's, if missing), raised once the rows are read and before
+    their periods are checked. Every cell must be a finite number.
     Periods start at k + 1, or at 1 with zero rows 1..k (plot data written
     with ``pad_warmup``), which are dropped; the error for a misplaced row
     names its period. A ``k`` below 2 is the window length error of any
@@ -604,19 +678,20 @@ def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarr
     """
     _check_window_length(k)
     stated = dict(zip(_RUN_DIRECTIVES, (str(k), mode)))
-    with _read_table(path, _RUN_DIRECTIVES) as (line, header, found, _, rest):
+    table = dict(closing=_RUN_DIRECTIVES)
+    with _read_table(path, **table) as (line, header, _, _, rest):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
-        for at, name, value in found:
-            if value != stated[name]:
-                message = f"indicator output of {name} {value}, not {stated[name]}"
-                raise ParseError(message, source=path, line=at)
-        for name in stated:
-            if all(name != given for _, given, _ in found):
-                message = f"missing '# {name}:' directive: regenerate this indicator output"
-                raise ParseError(message, source=path, line=line)
-        periods, values = _read_values(path, header, rest, dict(directives=_RUN_DIRECTIVES))
+        periods, values, found = _read_values(path, header, rest, table)
+    for at, name, value in found:
+        if value != stated[name]:
+            message = f"indicator output of {name} {value}, not {stated[name]}"
+            raise ParseError(message, source=path, line=at)
+    for name in stated:
+        if all(name != given for _, given, _ in found):
+            message = f"missing '# {name}:' directive: regenerate this indicator output"
+            raise ParseError(message, source=path, line=line)
     warm_up = periods <= k
     starts_right = periods[:1].tolist() in ([], [1], [k + 1])
     unfit = periods[(warm_up & (values[:, -1] != 0.0)) | (not starts_right)]
@@ -630,7 +705,8 @@ def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarr
 
 def write_plot_data(path, periods, aggregates, k: int, mode: str) -> Path:
     values = np.asarray(aggregates)[:, None]
-    return _write_table(path, PLOT_HEADER, (), zip(_RUN_DIRECTIVES, (k, mode)), periods, values)
+    run = zip(_RUN_DIRECTIVES, (k, mode))
+    return _write_table(path, PLOT_HEADER, periods=periods, values=values, closing=run)
 
 
 # --- analysis reports ------------------------------------------------------

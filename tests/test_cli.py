@@ -253,7 +253,7 @@ def write_plot(path, lines):
 
 
 def stated(k, mode="raw"):
-    """The directive lines of an indicator output made with window k and mode."""
+    """The closing directive lines of an indicator output made with window k and mode."""
     return [f"# k: {k}", f"# mode: {mode}"]
 
 
@@ -265,7 +265,7 @@ def test_analyze_rejects_padded_plot_file(tmp_path, scenario_path, capsys):
     code = run(["analyze", "--events", tmp_path / "padded" / "plot.csv",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
-    assert "plot.csv:1: '# k:' directive of an indicator output" in capsys.readouterr().err
+    assert "plot.csv:1: header of an indicator output" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -280,11 +280,11 @@ def test_compare_and_reader_agree_on_plot_file_with_directive(tmp_path, capsys):
 
 
 def test_compare_rejects_plot_file_with_periods_out_of_order(tmp_path, capsys):
-    plot = write_plot(tmp_path / "plot.csv", [*stated(4), "t,v_total", "5,1.0", "3,2.0", "3,3.0"])
+    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", "5,1.0", "3,2.0", "3,3.0", *stated(4)])
     code = run(["compare", "--basic", plot, "--treated", plot, "--window", "4",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
-    assert "plot.csv:5: period 3 precedes the first period 5" in capsys.readouterr().err
+    assert "plot.csv:3: period 3 precedes the first period 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -306,7 +306,8 @@ def test_compare_reads_padded_plot_files_from_after_the_warm_up(tmp_path, scenar
                 "--window", "4", "--pad-warmup", "--output-dir", out]) == 0
     for name in ("plot_basic.csv", "plot_ddescr.csv"):
         lines = (out / name).read_text().splitlines()
-        assert lines[:7] == [*stated(4), "t,v_total", "1,0.0", "2,0.0", "3,0.0", "4,0.0"]
+        assert lines[:5] == ["t,v_total", "1,0.0", "2,0.0", "3,0.0", "4,0.0"]
+        assert lines[-2:] == stated(4)
         periods, _ = read_indicator_column(out / name, 4, "raw")
         assert periods.tolist() == list(range(5, 31))
     events = tmp_path / "cmp_events"
@@ -323,17 +324,19 @@ def test_compare_rejects_indicator_output_of_another_window(tmp_path, scenario_p
                 "--window", "5", "--output-dir", tmp_path / "out"])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"error: {made / 'indicators.csv'}:1: indicator output of k 12, not 5\n" == err
+    line = (made / "indicators.csv").read_text().splitlines().index("# k: 12") + 1
+    assert f"error: {made / 'indicators.csv'}:{line}: indicator output of k 12, not 5\n" == err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "window, mode, line, message",
-    [("5", "raw", 2, "mode standardized, not raw"), ("4", "standardized", 1, "k 5, not 4")],
+    "window, mode, directive, message",
+    [("5", "raw", "# mode: standardized", "mode standardized, not raw"),
+     ("4", "standardized", "# k: 5", "k 5, not 4")],
     ids=["mode", "window"],
 )
 def test_compare_rejects_indicator_outputs_stating_another_run(
-    tmp_path, scenario_path, capsys, window, mode, line, message
+    tmp_path, scenario_path, capsys, window, mode, directive, message
 ):
     # Both regimes' outputs state window 5 and standardized mode.
     basic = analyze_to(tmp_path, scenario_path, "baseline", "5", "--mode", "standardized")
@@ -342,6 +345,7 @@ def test_compare_rejects_indicator_outputs_stating_another_run(
         code = run(["compare", "--basic", basic / name, "--treated", treated / name,
                     "--window", window, "--mode", mode, "--output-dir", tmp_path / "out"])
         assert code == 1
+        line = (basic / name).read_text().splitlines().index(directive) + 1
         expected = f"error: {basic / name}:{line}: indicator output of {message}\n"
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "out").exists()
@@ -368,7 +372,7 @@ def test_compare_rejects_indicator_output_without_directives(tmp_path, capsys):
     ],
 )
 def test_compare_rejects_plot_file_that_fits_no_window_form(tmp_path, capsys, rows, period):
-    plot = write_plot(tmp_path / "plot.csv", [*stated(3), "t,v_total", *rows])
+    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", *rows, *stated(3)])
     code = run(["compare", "--basic", plot, "--treated", plot, "--window", "3",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
@@ -380,11 +384,11 @@ def test_compare_rejects_plot_file_that_fits_no_window_form(tmp_path, capsys, ro
 
 
 def test_compare_rejects_plot_file_with_nothing_after_the_warm_up(tmp_path, capsys):
-    plot = write_plot(tmp_path / "plot.csv", [*stated(2), "t,v_total", "1,0.0", "2,0.0"])
+    plot = write_plot(tmp_path / "plot.csv", ["t,v_total", "1,0.0", "2,0.0", *stated(2)])
     code = run(["compare", "--basic", plot, "--treated", plot, "--window", "2",
                 "--output-dir", tmp_path / "out"])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {plot}:3: no period after the warm-up 1..2\n"
+    assert capsys.readouterr().err == f"error: {plot}:1: no period after the warm-up 1..2\n"
 
 
 def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, scenario_path, capsys):
@@ -469,12 +473,12 @@ def test_indicator_output_cells_must_be_finite_numbers(
 ):
     table = analyze_to(tmp_path, scenario_path, "baseline", "2") / "indicators.csv"
     lines = table.read_text().splitlines()
-    assert lines[:2] == stated(2) and lines[2].split(",")[2] == "logging.2"
-    row = lines[5].split(",")
+    assert lines[0].split(",")[2] == "logging.2" and lines[-2:] == stated(2)
+    row = lines[3].split(",")
     row[2] = cell
-    lines[5] = ",".join(row)
+    lines[3] = ",".join(row)
     table.write_text("\n".join(lines) + "\n")
-    expected = f"{table}:6: column 'logging.2': {problem}"
+    expected = f"{table}:4: column 'logging.2': {problem}"
     with pytest.raises(ParseError) as excinfo:
         read_indicator_column(table, 2, "raw")
     assert str(excinfo.value) == expected

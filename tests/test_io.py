@@ -199,6 +199,28 @@ def test_mapping_duplicate_pair_rejected(tmp_path):
         parse_mapping(path, ("a",))
 
 
+@pytest.mark.parametrize(
+    "read, lines, line, message",
+    [
+        (read_comparison_table, ["# totals: 1,2,3", "# totals: 1,2,3"], 2,
+         "duplicate totals directive"),
+        # Every directive is checked for a repeat before the first one is read.
+        (read_comparison_table, ["# totals: 1,2", "# totals: 1,2,3"], 2,
+         "duplicate totals directive"),
+        (read_comparison_table, ["# totals: 1,2"], 1, "totals directive needs 3 numbers"),
+        (lambda path: parse_mapping(path, ("a",)), ["# budget: -1", "# budget: 1"], 2,
+         "duplicate budget directive"),
+    ],
+    ids=["totals twice", "bad totals, then totals", "bad totals", "bad budget, then budget"],
+)
+def test_directive_errors_name_their_line(tmp_path, read, lines, line, message):
+    header = "t,v_basic,v_ddescr,dv" if "totals" in lines[0] else "competency_id,channel_label,flag"
+    path = write_lines(tmp_path / "table.csv", [*lines, header])
+    with pytest.raises(ParseError, match=message) as excinfo:
+        read(path)
+    assert excinfo.value.line == line
+
+
 def test_mapping_unknown_competency_vs_catalog(tmp_path):
     path = write_lines(
         tmp_path / "mapping.csv",
@@ -330,7 +352,7 @@ def test_emit_single_period_report(tmp_path, make_series):
     indicators = indicator_series(series, 4)  # exactly one evaluable period
     emit_report(tmp_path / "out", 4, "raw", indicators=indicators)
     lines = (tmp_path / "out" / "indicators.csv").read_text().splitlines()
-    assert len(lines) == 4  # two directives, the header and one data row
+    assert len(lines) == 4  # the header, one data row and the two closing directives
     assert (tmp_path / "out" / "metadata.json").exists()
 
 
@@ -348,7 +370,8 @@ def test_pad_warmup_plot_rows(tmp_path, make_series):
     report, indicators = indicator_report(make_series, k=4)
     emit_report(tmp_path / "out", **report, pad_warmup=True)
     lines = (tmp_path / "out" / "plot.csv").read_text().splitlines()
-    assert lines[:7] == ["# k: 4", "# mode: raw", "t,v_total", "1,0.0", "2,0.0", "3,0.0", "4,0.0"]
+    assert lines[:5] == ["t,v_total", "1,0.0", "2,0.0", "3,0.0", "4,0.0"]
+    assert lines[-2:] == ["# k: 4", "# mode: raw"]
     periods, totals = read_indicator_column(tmp_path / "out" / "plot.csv", 4, "raw")
     assert periods.tolist() == list(range(5, 13))
     assert np.array_equal(totals, indicators.per_period_totals())
@@ -432,7 +455,7 @@ def test_write_events_refuses_reserved_last_label(tmp_path, last):
 
 
 def test_indicator_column_skips_leading_blank_line(tmp_path):
-    lines = ["", "# k: 4", "", "# mode: raw", "t,v_total", "5,1.5", "6,2.5"]
+    lines = ["", "t,v_total", "5,1.5", "6,2.5", "", "# k: 4", "", "# mode: raw", " "]
     periods, values = read_indicator_column(write_lines(tmp_path / "plot.csv", lines), 4, "raw")
     assert periods.tolist() == [5, 6]
     assert values.tolist() == [1.5, 2.5]
@@ -441,11 +464,17 @@ def test_indicator_column_skips_leading_blank_line(tmp_path):
 @pytest.mark.parametrize(
     "lines, line, match",
     [
-        # the first '#' line is what is wrong: plot files carry only '# k:' and '# mode:'
-        (["# a: 1", "# k: 4", "# mode: raw", "t,v_total", "5,1.0", "6,oops"], 1,
-         "unknown directive"),
-        # a quoted label spans lines 3-4, so the bad cell sits on physical line 5
-        (["# k: 4", "# mode: raw", 't,"x', 'y",total', "5,1.0,oops"], 5, "not a number"),
+        # the first '#' line is what is wrong: plot files carry their directives after the rows
+        (["# a: 1", "# b: 2", "t,v_total", "5,1.0", "6,oops"], 1, "unknown directive"),
+        # a quoted label spans lines 1-2, so the bad cell sits on physical line 5
+        (['t,"x', 'y",total', "", "5,1.0,1.0", "6,2.0,oops", "# k: 4", "# mode: raw"], 5,
+         "not a number"),
+        # once the closing directives begin, only directives and blank lines may follow
+        (["t,v_total", "5,1.0", "# k: 4", "", "6,2.0", "# mode: raw"], 5,
+         "data row after the closing directives"),
+        (["t,v_total", "5,1.0", "# k: 4", "# note: 1", "# mode: raw"], 4,
+         "unknown directive 'note: 1'"),
+        (["t,v_total", "5,1.0", "# k: 4", "# mode: raw", "#k:4"], 5, "duplicate k directive"),
     ],
 )
 def test_indicator_column_errors_name_the_physical_line(tmp_path, lines, line, match):
@@ -464,19 +493,24 @@ def test_indicator_column_errors_name_the_physical_line(tmp_path, lines, line, m
     ],
 )
 def test_indicator_periods_run_densely_from_the_first_row(tmp_path, rows, match):
-    path = write_lines(tmp_path / "plot.csv", ["# mode: raw", "# k: 4", "t,v_total", *rows])
+    path = write_lines(tmp_path / "plot.csv", ["t,v_total", *rows, "# mode: raw", "# k: 4"])
     with pytest.raises(ParseError, match=match) as excinfo:
         read_indicator_column(path, 4, "raw")
-    assert excinfo.value.line == 5
+    assert excinfo.value.line == 3
 
 
 @pytest.mark.parametrize("directive", ["# k: 4", "# mode: raw"])
-def test_event_file_may_not_state_a_run(tmp_path, directive):
-    path = write_lines(tmp_path / "events.csv", ["", directive, "t,a", "1,1.0", "2,3.0"])
-    assert not is_indicator_output(path)
-    with pytest.raises(ParseError, match="directive of an indicator output") as excinfo:
+@pytest.mark.parametrize(
+    "where, line, match",
+    [(1, 2, "unknown directive"), (4, 5, "directives must precede the header")],
+    ids=["before the header", "after the rows"],
+)
+def test_event_file_may_not_state_a_run(tmp_path, directive, where, line, match):
+    lines = ["", "t,a", "1,1.0", "2,3.0"]
+    path = write_lines(tmp_path / "events.csv", [*lines[:where], directive, *lines[where:]])
+    with pytest.raises(ParseError, match=match) as excinfo:
         parse_events(path)
-    assert excinfo.value.line == 2
+    assert excinfo.value.line == line
 
 
 def test_directive_after_header_rejected(tmp_path):
@@ -492,13 +526,14 @@ EDGE_VALUES = [-0.0, 0.0, 1e16, 5e-324, 1e308, 1.0 / 3.0, -2.5e-310, 123456789.1
 AWKWARD_LABELS = ("plain", "a,b", 'say "hi"', "x")
 
 
-def csv_reference(header, periods, rows, directives=()):
+def csv_reference(header, periods, rows, directives=(), closing=()):
     # what the writers produced through csv.writer with one fmt call per cell
     buffer = io.StringIO()
     buffer.writelines(f"# {name}: {value}\n" for name, value in directives)
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows((int(t), *map(fmt, row)) for t, row in zip(periods, rows))
+    buffer.writelines(f"# {name}: {value}\n" for name, value in closing)
     return buffer.getvalue().encode()
 
 
@@ -530,10 +565,11 @@ def test_indicator_and_plot_writers_bytes_match_csv_writer(tmp_path):
     rows = np.column_stack((values, indicators.per_period_totals()))
     header = ("t", *AWKWARD_LABELS, "total")
     run = [("k", 4), ("mode", "raw")]
-    assert table.read_bytes() == csv_reference(header, periods, rows, run)
+    assert table.read_bytes() == csv_reference(header, periods, rows, closing=run)
     aggregates = np.array(EDGE_VALUES[:6])
     plot = write_plot_data(tmp_path / "plot.csv", periods, aggregates, 4, "raw")
-    assert plot.read_bytes() == csv_reference(("t", "v_total"), periods, aggregates[:, None], run)
+    expected = csv_reference(("t", "v_total"), periods, aggregates[:, None], closing=run)
+    assert plot.read_bytes() == expected
 
 
 def test_comparison_writer_bytes_match_csv_writer(tmp_path):

@@ -85,7 +85,7 @@ RUNS = {"indicator": (4, "raw"), "indicator, window 2": (2, "standardized")}
 
 
 def stated(kind):
-    """The ``# k:`` and ``# mode:`` lines that the reader of ``kind`` accepts, if any."""
+    """The closing ``# k:`` and ``# mode:`` lines that the reader of ``kind`` accepts, if any."""
     return "".join(f"# {name}: {value}\n" for name, value in zip(("k", "mode"), RUNS.get(kind, ())))
 
 
@@ -148,23 +148,28 @@ def table_texts(draw, reader):
                 token = str(first + at + shift)
             rows[at][0] = token
     preamble_lines = st.sampled_from(["", "   ", "# totals: 1,2,3", "# totals: 4, 5 ,6"])
+    closing = []
     if run:
-        # The two directives the reader accepts, in either order. One time in eight the
-        # k line gives way to a blank line, a k of another run or a second mode line:
-        # an error before any cell is read.
-        preamble_lines = st.sampled_from(["", "   ", f"#k:{run[0] + 1}", "# mode:  raw "])
-        preamble = stated(reader).splitlines()
+        # The two directives the reader accepts close the table, in either order. One time
+        # in eight the k line gives way to a blank line, a k of another run, a second mode
+        # line or a data row; one time in eight the directives come before the last row.
+        preamble_lines = st.sampled_from(["", "   "])
+        odd_lines = st.sampled_from(["", "   ", f"#k:{run[0] + 1}", "# mode:  raw ", "9,1"])
+        closing = stated(reader).splitlines()
         if draw(st.integers(0, 7)) == 7:
-            preamble = preamble[1:] + draw(st.lists(preamble_lines, min_size=1, max_size=2))
-        preamble = draw(st.permutations(preamble))
-    else:
-        preamble = draw(st.lists(preamble_lines, max_size=2))
+            closing[0] = draw(odd_lines)
+        closing = [line + "\n" for line in draw(st.permutations(closing))]
+    preamble = draw(st.lists(preamble_lines, max_size=2))
     header = draw(st.sampled_from(headers(kind, width)))
     lines = [line + "\n" for line in preamble] + [header + draw(st.sampled_from(["\n", "\r\n"]))]
     for i, (row, ending) in enumerate(zip(rows, endings)):
         lines += [line + "\n" for at, line in extra if at == i]
         lines.append(",".join(row) + ending)
     lines += [line + "\n" for at, line in extra if at == n]
+    if n and draw(st.integers(0, 7)) == 7:
+        lines[-1:-1] = closing
+    else:
+        lines += closing
     text = "".join(lines)
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
@@ -226,15 +231,32 @@ def test_fast_and_streamed_paths_agree(tmp_path, kind, data):
         ("events", "t,a\r1,2\r2,x\r"),
         # a duplicate period where periods past int64 would be compared as floats
         ("indicator", f"t,v_total\n{2**63 - 3},1\n{2**63 - 2},1\n{2**63 - 2},1\n"),
+        # a '#' that does not start a line is inside a row, not a closing directive
+        ("indicator", "t,v_total\n5,1\n6,2# k: 4\n"),
     ],
 )
 def test_tables_loadtxt_reads_unlike_the_streamed_path_take_it(tmp_path, kind, text):
     path = tmp_path / "table.csv"
-    path.write_text(stated(kind) + text, encoding="utf-8")
+    path.write_text(text + stated(kind), encoding="utf-8")
     expected = scanned_outcome(kind, path)
     with mock.patch.object(rio, "_scan_values", wraps=rio._scan_values) as scanned:
         assert outcome(kind, path) == expected
     assert scanned.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "text, totals",
+    [
+        ('t,"x\n# y",total\n5,1,2\n6,2,3\n# k: 4\n# mode: raw\n', [2.0, 3.0]),  # '#' in the header
+        ("t,v_total\n5,1\n6,2\r\n\r\n  # mode: raw\r# k: 4", [1.0, 2.0]),  # indented, lone \r
+    ],
+    ids=["header", "indented"],
+)
+def test_closing_directives_are_found_alike_on_both_paths(tmp_path, text, totals):
+    path = tmp_path / "plot.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = [(a.dtype.str, a.shape, a.tobytes()) for a in (np.array([5, 6]), np.array(totals))]
+    assert outcome("indicator", path) == scanned_outcome("indicator", path) == expected
 
 
 def test_last_int64_period_reads_back_exactly_on_both_paths(tmp_path):
@@ -346,9 +368,9 @@ def read_window_3(path):
     [
         ("t,a\n1,2\n2,x\n", parse_events, ":3: column 'a': 'x' is not a number", 2),
         # The window fit is checked on the arrays already read, and names the period.
-        ("# k: 3\n# mode: raw\nt,v_total\n2,1\n3,1\n", read_window_3, ": period 2 does not", 1),
+        ("t,v_total\n2,1\n3,1\n# k: 3\n# mode: raw\n", read_window_3, ": period 2 does not", 1),
         # loadtxt refuses 1_0, so the one scan reads the arrays the fit is checked on.
-        ("# k: 3\n# mode: raw\nt,v_total\n2,1_0\n3,1\n", read_window_3, ": period 2 does not", 2),
+        ("t,v_total\n2,1_0\n3,1\n# k: 3\n# mode: raw\n", read_window_3, ": period 2 does not", 2),
     ],
     ids=["bad last cell", "misfitting window", "refused and misfitting"],
 )
@@ -364,18 +386,18 @@ def test_a_refused_file_is_read_at_most_twice(tmp_path, text, read, message, ope
 @pytest.mark.parametrize(
     "directives, message",
     [
-        ("# k: 3\n# mode: standardized\n", "2: indicator output of mode standardized, not raw"),
-        ("# mode: raw\n# k: 4\n", "2: indicator output of k 4, not 3"),
-        ("# k: 3\n# mode: raw\n# k: 3\n", "3: duplicate k directive"),
-        ("# mode: raw\n", "2: missing '# k:' directive: regenerate this indicator output"),
-        ("\n# k: 3\n", "3: missing '# mode:' directive: regenerate this indicator output"),
+        ("# k: 3\n# mode: standardized\n", "5: indicator output of mode standardized, not raw"),
+        ("# mode: raw\n# k: 4\n", "5: indicator output of k 4, not 3"),
+        ("# k: 3\n# mode: raw\n# k: 3\n", "6: duplicate k directive"),
+        ("# mode: raw\n", "1: missing '# k:' directive: regenerate this indicator output"),
+        ("\n# k: 3\n", "1: missing '# mode:' directive: regenerate this indicator output"),
     ],
     ids=["other-mode", "other-window", "duplicate", "no-window", "no-mode"],
 )
 def test_a_directive_that_does_not_state_the_run_costs_one_open(tmp_path, directives, message):
-    # loadtxt refuses 1_0, so converting any row would open the file a second time.
+    # The plain rows take numpy's reader, which reads the closing directives after them.
     path = tmp_path / "plot.csv"
-    path.write_text(directives + "t,v_total\n4,1_0\n5,1\n", encoding="utf-8")
+    path.write_text("t,v_total\n4,1\n5,1\n" + directives, encoding="utf-8")
     with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
         with pytest.raises(ParseError) as caught:
             read_window_3(path)
