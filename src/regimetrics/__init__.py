@@ -9,8 +9,7 @@ bundled reference comparison table support end-to-end runs and
 verification without any external data.
 
 The public names are loaded on first use (PEP 562), so ``import
-regimetrics`` loads no numpy: ``regimetrics.cli`` can set the BLAS
-thread count before numpy starts.
+regimetrics`` loads no numpy until a name that needs it is used.
 """
 
 import importlib

@@ -2,10 +2,10 @@
 
 Two places hand half of their work to a child: ``io._write_table``
 formats the second half of a large table's rows, and
-``engine.indicator_series`` with ``processes=2`` computes the second half
-of a long run's periods. Each does that half itself when no child could
-start or the child failed, so results and errors are those of the serial
-order either way.
+``engine.indicator_series`` computes the second half of a long run's
+periods where its kernel can pin OpenBLAS to one thread. Each does that
+half itself when no child could start or the child failed, so results and
+errors are those of the serial order either way.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ def forked(task, dir=None):
         # No fork on the platform (AttributeError), or no room for the file or no process
         # to spare (OSError): pid stays None.
         with warnings.catch_warnings(), suppress(AttributeError, OSError):
-            # Python 3.12+ warns on fork in a threaded process, numpy's BLAS threads for one.
-            # OpenBLAS stops its threads before a fork and starts them again on the next
-            # BLAS call, and a CLI process runs one BLAS thread anyway (see regimetrics.cli).
+            # Python 3.12+ warns on fork in a threaded process, and numpy's OpenBLAS starts
+            # its worker threads when numpy loads, in a CLI process too. OpenBLAS stops them
+            # before a fork and starts them again on the next BLAS call that needs them.
             warnings.filterwarnings(
                 "ignore", "This process .* is multi-threaded", DeprecationWarning
             )

@@ -15,24 +15,13 @@ as a 2-decimal printing (0.02 slack per row, 0.3 per column sum, total
 delta in cents); any other table must add up exactly. Every command exits
 0 on success and nonzero with a diagnostic on any error;
 ``verify-reference`` exits nonzero if any check fails.
-
-A CLI process runs one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is
-set, and takes its parallelism from forked processes: a long indicator
-run computes the second half of its periods in a child, and large
-tables are formatted in two halves (see ``_fork.forked``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
-
-# Set before the imports below load numpy, whose OpenBLAS reads it once. The per-period
-# products are too small to gain from BLAS threads; the second core goes to a forked child.
-# Importing this module sets it for the whole process and the processes it starts.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .catalog import default_catalog, load_catalog
 from .engine import DEFAULT_WINDOW, compare_regimes, indicator_series
@@ -50,9 +39,6 @@ from .io import (
 from .model import MODES, RAW, MappedSeries, apply_mapping, check_budget
 from .reference import verify_bundled_reference, verify_reference
 from .synth import paired_scenarios
-
-# A long indicator run hands the second half of its periods to a forked child.
-_PROCESSES = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,7 +138,7 @@ def _cmd_analyze(args) -> int:
             print(f"masked channels: {masked}")
     else:
         series = MappedSeries.from_model(model)
-    indicators = indicator_series(series, args.window, args.mode, processes=_PROCESSES)
+    indicators = indicator_series(series, args.window, args.mode)
     _emit(args, indicators=indicators)
     print(f"total indicator: {indicators.total!r}")
     return 0
@@ -172,9 +158,7 @@ def _regime_column(path: Path, k: int, mode: str):
         return read_indicator_column(path, k, mode)
     model = parse_events(path)
     try:
-        indicators = indicator_series(
-            MappedSeries.from_model(model), k, mode, processes=_PROCESSES
-        )
+        indicators = indicator_series(MappedSeries.from_model(model), k, mode)
     except InsufficientHistoryError as exc:
         raise InsufficientHistoryError(f"{path}: {exc}") from None
     return indicators.periods, indicators.per_period_totals()

@@ -15,20 +15,23 @@ scaled Gram matrix of the raw data. In standardized mode each channel is
 z-scored inside its window first, which makes the entries Pearson
 coefficients bounded by 1.
 
-One chunked kernel computes every period; ``window_correlation`` runs it
-on a single period for inspection. In standardized mode a chunk takes
-its windows' max and min from its own rows of the series by doubling
-spans, and adds each window's rows one at a time, oldest first, for its
-sum and sum of squares. No period's rows depend on another's,
-so ``indicator_series(..., processes=2)`` can hand the second half of a
-long run to a forked child. ``naive_oracle`` recomputes everything
-with explicit triple loops and no matrix product, so tests can check the
-kernel against an independent implementation.
+One chunked kernel computes every period at one OpenBLAS thread, so every
+caller gets the same bits; ``window_correlation`` runs it on a single
+period for inspection. In standardized mode a chunk takes its windows'
+max and min from its own rows of the series by doubling spans, and adds
+each window's rows one at a time, oldest first, for its sum and sum of
+squares. No period's rows depend on another's, so ``indicator_series``
+can hand a long run's second half to a forked child. ``naive_oracle``
+recomputes everything with explicit triple loops and no matrix product,
+so tests can check the kernel against an independent implementation.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +58,11 @@ STANDARDIZED_BOUND_TOL = 1e-9
 # The kernel walks windows in chunks of periods whose live temporaries
 # (the Gram stack plus two window stacks) stay under this many bytes.
 _CHUNK_BYTES = 4 << 20
-# With processes=2, a run of at least this many multiply-adds (periods x n^2 x k)
-# computes its second half in a forked child. On a 2-core x86 host a raw run of 50
-# channels and 4,600 periods (138M) fell from 54 to 35 ms that way, while one of 8
-# channels and 50,000 periods (38M) got slower: its chunks are too cheap to pay for
-# the child and the hand-back of its rows.
+# Where the kernel's one-thread pin holds, a run of at least this many multiply-adds
+# (periods x n^2 x k) computes its second half in a forked child. On a 2-core x86 host
+# a raw run of 50 channels and 4,600 periods (138M) fell from 54 to 35 ms that way,
+# while one of 8 channels and 50,000 periods (38M) got slower: its chunks are too
+# cheap to pay for the child and the hand-back of its rows.
 _SPLIT_MACS = 1 << 27
 
 
@@ -156,6 +159,47 @@ def _chunk_periods(n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n * (n + 2 * k)))
 
 
+@functools.cache
+def _openblas_threads():
+    """The get and set thread-count functions of numpy's OpenBLAS, or None; looked up once."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split(None, 5)[5].strip() for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            try:
+                handle = ctypes.CDLL(lib)
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block at one OpenBLAS thread where ``_openblas_threads`` resolves.
+
+    Two threads may sum a Gram product's edge cells in another order. The
+    caller's count is restored after, also on an error. A count of 1 is left
+    alone: set after a fork, it restarted OpenBLAS's threads and halved the
+    speed of one-thread products on a 2-core x86 host.
+    """
+    get_threads, set_threads = _openblas_threads() or (lambda: 1, None)
+    threads = get_threads()
+    try:
+        if threads != 1:
+            set_threads(1)
+        yield
+    finally:
+        if threads != 1:
+            set_threads(threads)
+
+
 def _window_kernel(
     series: MappedSeries, k: int, mode: str, first: int, last: int, signed: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +209,7 @@ def _window_kernel(
     stack of Gram matrices by one matmul, checked once, and reduced to
     absolute row sums in place. Chunk boundaries depend only on n and k,
     and no period's arithmetic depends on another period, so each row is
-    the same bits whatever the series length.
+    the same bits whatever the series length, and BLAS runs one thread.
     Returns the (periods, n) indicator rows, or the (periods, n, n) R
     stack when ``signed``, and the (periods, n) degenerate flags.
     """
@@ -176,20 +220,21 @@ def _window_kernel(
     step = _chunk_periods(n, k)
     out = np.empty((count, n, n) if signed else (count, n))
     degenerate = np.zeros((count, n), dtype=bool)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        block = windows[start:stop]
-        if mode == STANDARDIZED:
-            block, degenerate[start:stop] = _standardize(rows[start : stop + k - 1], k)
-        # Raw overflow is not a warning: _check_chunk raises naming the period.
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.matmul(block.transpose(0, 2, 1), block)
-            r /= k - 1
-            magnitude = np.abs(r, out=None if signed else r)
-            sums = magnitude.sum(axis=2)
-        flags = degenerate[start:stop]
-        _check_chunk(magnitude, sums, flags, mode, first + start, series.channel_labels)
-        out[start:stop] = r if signed else sums
+    with _one_blas_thread():
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            block = windows[start:stop]
+            if mode == STANDARDIZED:
+                block, degenerate[start:stop] = _standardize(rows[start : stop + k - 1], k)
+            # Raw overflow is not a warning: _check_chunk raises naming the period.
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = np.matmul(block.transpose(0, 2, 1), block)
+                r /= k - 1
+                magnitude = np.abs(r, out=None if signed else r)
+                sums = magnitude.sum(axis=2)
+            flags = degenerate[start:stop]
+            _check_chunk(magnitude, sums, flags, mode, first + start, series.channel_labels)
+            out[start:stop] = r if signed else sums
     return out, degenerate
 
 
@@ -302,7 +347,7 @@ class IndicatorSeries:
 
 
 def indicator_series(
-    series: MappedSeries, k: int = DEFAULT_WINDOW, mode: str = RAW, *, processes: int = 1
+    series: MappedSeries, k: int = DEFAULT_WINDOW, mode: str = RAW
 ) -> IndicatorSeries:
     """Indicator vectors for every evaluable period t in k+1 .. t_max.
 
@@ -310,21 +355,17 @@ def indicator_series(
     on n and k, so results are reproducible bit-for-bit and the rows of
     a prefix of the series are the leading rows of the full run.
 
-    With ``processes=2`` a run of at least ``_SPLIT_MACS`` multiply-adds
-    computes the periods of its second half in a forked child. The rows
-    are the same bits, and an error is the one the serial run raises.
-    Two processes gain only where each runs one BLAS thread, as a CLI
-    process does (see ``regimetrics.cli``).
+    Where the kernel can pin OpenBLAS to one thread, a run of at least
+    ``_SPLIT_MACS`` multiply-adds computes its second half in a forked
+    child, with the serial bits and errors; elsewhere it stays in one process.
     """
     validate_mode(mode)
-    if processes not in (1, 2):
-        raise ValidationError(f"processes must be 1 or 2, got {processes!r}")
     _check_window_bounds(series.t_max, series.t_max, k)  # t_max, the last period, has a window
     first, last = k + 1, series.t_max
     step = _chunk_periods(series.n, k)
     half = (last - first + 1) // (2 * step) * step  # whole chunks, so each row keeps its bits
     macs = (last - first + 1) * series.n**2 * k
-    if processes == 1 or macs < _SPLIT_MACS or not half:
+    if macs < _SPLIT_MACS or not half or _openblas_threads() is None:
         values, _ = _window_kernel(series, k, mode, first, last)
     else:
         values = _two_process_kernel(series, k, mode, first, first + half, last)
@@ -342,13 +383,14 @@ def _two_process_kernel(series: MappedSeries, k: int, mode: str, first: int, mid
 
     Where no child starts, or it fails (a check of its rows, say), this
     process computes those rows itself after its own, as the serial run
-    does, so the first error is the serial one.
+    does, so the first error is the serial one. BLAS stays at one thread
+    until ``collect``: a restored count starts a spinning OpenBLAS thread.
     """
 
     def second_half(out):
         out.write(_window_kernel(series, k, mode, mid, last)[0])
 
-    with forked(second_half) as collect:
+    with _one_blas_thread(), forked(second_half) as collect:
         head, _ = _window_kernel(series, k, mode, first, mid - 1)
         out = collect()
         if out is None:

@@ -1,11 +1,12 @@
 """Parallelism from processes: a long indicator run computes the second half
-of its periods in a forked child, and a CLI process runs one BLAS thread.
+of its periods in a forked child, and the kernel runs one BLAS thread.
 
-The serial run is the reference: ``processes=1``, or ``os.fork`` deleted.
-With the fork, the rows, outputs, stdout and errors must be the same, and
-no child may outlive the call. The thresholds are lowered so that the
-small series here are split: one period per chunk, and any run worth a
-second process.
+The serial run is the reference: ``os.fork`` deleted, or the default
+``_SPLIT_MACS``. With the fork, the rows, outputs, stdout and errors must
+be the same, and no child may outlive the call. The thresholds are lowered
+so that the small series here are split: one period per chunk, and any run
+worth a second process. The kernel splits a run only where it can pin
+OpenBLAS to one thread, so those tests skip where numpy's BLAS is another.
 """
 
 import json
@@ -36,6 +37,14 @@ SCENARIO = {
     "intervention_period": 9,
     "intervention_cost_per_period": 10.0,
 }
+# 300 periods of 300 channels: two BLAS threads split these Gram products unevenly,
+# so without the kernel's pin they change low bits of the indicators in both modes.
+WIDE_SCENARIO = {
+    **SCENARIO,
+    "periods": 300,
+    "intervention_period": 150,
+    "processes": [{**process, "channels": 150} for process in SCENARIO["processes"]],
+}
 
 
 def run(argv):
@@ -57,7 +66,16 @@ def forks(monkeypatch):
 
 
 @pytest.fixture
-def split(monkeypatch, forks):
+def blas_threads():
+    """The get and set thread-count functions the kernel pins OpenBLAS with."""
+    threads = engine._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with thread-count functions")
+    return threads
+
+
+@pytest.fixture
+def split(monkeypatch, forks, blas_threads):
     """Split every run of two periods or more at its middle period; count the forks."""
     monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
     monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
@@ -75,45 +93,58 @@ def random_series(periods, channels, seed=0):
     return MappedSeries.from_model(EnterpriseModel(events=values, channel_labels=labels))
 
 
+def serial_series(monkeypatch, *args):
+    """The serial reference: ``indicator_series`` where no process can fork."""
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        return indicator_series(*args)
+
+
 # --- the kernel ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["raw", "standardized"])
 @pytest.mark.parametrize("periods, channels", [(7, 1), (8, 3), (9, 3), (40, 5)])
-def test_two_processes_give_the_serial_bits(split, mode, periods, channels):
+def test_two_processes_give_the_serial_bits(monkeypatch, split, mode, periods, channels):
     series = random_series(periods, channels)
-    serial = indicator_series(series, 5, mode)
+    serial = serial_series(monkeypatch, series, 5, mode)
     assert split == []
-    two = indicator_series(series, 5, mode, processes=2)
+    two = indicator_series(series, 5, mode)
     assert split == [os.getpid()]
     assert two.values.tobytes() == serial.values.tobytes()
     assert np.array_equal(two.periods, serial.periods)
     assert_no_child_left()
 
 
-def test_the_split_falls_on_a_chunk_boundary(monkeypatch, forks):
+def test_the_split_falls_on_a_chunk_boundary(monkeypatch, forks, blas_threads):
     # Chunks of the default size: 141 periods of 50 channels at k = 12.
-    monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
     series = random_series(700, 50)
-    serial = indicator_series(series, 12, "standardized")
-    two = indicator_series(series, 12, "standardized", processes=2)
+    serial = indicator_series(series, 12, "standardized")  # under the default _SPLIT_MACS
+    assert forks == []
+    monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
+    two = indicator_series(series, 12, "standardized")
     assert forks == [os.getpid()]
     assert two.values.tobytes() == serial.values.tobytes()
     assert_no_child_left()
 
 
 def test_short_runs_and_one_period_stay_in_one_process(monkeypatch, forks):
-    indicator_series(random_series(40, 5), 5, "raw", processes=2)  # under _SPLIT_MACS
+    indicator_series(random_series(40, 5), 5, "raw")  # under _SPLIT_MACS
     monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
     monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
-    indicator_series(random_series(6, 3), 5, "raw", processes=2)  # one period: no half
+    indicator_series(random_series(6, 3), 5, "raw")  # one period: no half
     assert forks == []
 
 
-@pytest.mark.parametrize("processes", [0, 3, 1.5])
-def test_processes_is_one_or_two(processes):
-    with pytest.raises(ValidationError, match="processes must be 1 or 2"):
-        indicator_series(random_series(8, 2), 5, "raw", processes=processes)
+@pytest.mark.parametrize("mode", ["raw", "standardized"])
+def test_without_the_pin_the_kernel_stays_in_one_process(monkeypatch, forks, mode):
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
+    series = random_series(40, 5)
+    serial = serial_series(monkeypatch, series, 5, mode)
+    monkeypatch.setattr(engine, "_openblas_threads", lambda: None)
+    assert indicator_series(series, 5, mode).values.tobytes() == serial.values.tobytes()
+    assert forks == []
 
 
 def overflowing(row):
@@ -124,12 +155,12 @@ def overflowing(row):
 
 
 @pytest.mark.parametrize("row", [8, 25])  # 6..17 is this process's half, 18..30 the child's
-def test_kernel_errors_are_the_serial_ones(split, row):
+def test_kernel_errors_are_the_serial_ones(monkeypatch, split, row):
     series = overflowing(row)
     with pytest.raises(ValidationError) as serial:
-        indicator_series(series, 5, "raw")
+        serial_series(monkeypatch, series, 5, "raw")
     with pytest.raises(ValidationError) as two:
-        indicator_series(series, 5, "raw", processes=2)
+        indicator_series(series, 5, "raw")
     assert str(two.value) == str(serial.value) == (
         f"period {row + 1}: R overflows the float range (channels b)"
     )
@@ -152,13 +183,13 @@ def in_child(monkeypatch, action):
 
 def test_failing_child_leaves_the_serial_rows(monkeypatch, split):
     series = random_series(40, 5)
-    serial = indicator_series(series, 5, "standardized")
+    serial = serial_series(monkeypatch, series, 5, "standardized")
 
     def fail():
         raise RuntimeError("child failed")
 
     in_child(monkeypatch, fail)
-    two = indicator_series(series, 5, "standardized", processes=2)
+    two = indicator_series(series, 5, "standardized")
     assert split == [os.getpid()]
     assert two.values.tobytes() == serial.values.tobytes()
     assert_no_child_left()
@@ -169,7 +200,7 @@ def test_error_here_kills_the_sleeping_child(monkeypatch, split):
     in_child(monkeypatch, lambda: time.sleep(60.0))
     start = time.monotonic()
     with pytest.raises(ValidationError, match="period 9: R overflows"):
-        indicator_series(overflowing(8), 5, "raw", processes=2)
+        indicator_series(overflowing(8), 5, "raw")
     assert time.monotonic() - start < 30.0
     assert split == [os.getpid()]
     assert_no_child_left()
@@ -181,19 +212,17 @@ def refuse_fork():
 
 def test_refused_fork_takes_the_serial_path(monkeypatch, split):
     series = random_series(40, 5)
-    serial = indicator_series(series, 5, "raw")
+    serial = serial_series(monkeypatch, series, 5, "raw")
     monkeypatch.setattr(os, "fork", refuse_fork)
-    assert indicator_series(series, 5, "raw", processes=2).values.tobytes() == (
-        serial.values.tobytes()
-    )
+    assert indicator_series(series, 5, "raw").values.tobytes() == serial.values.tobytes()
 
 
 def test_unusable_temporary_directory_takes_the_serial_path(tmp_path, monkeypatch, split):
     # The child hands its rows back through a file in the temporary directory.
     series = random_series(40, 5)
-    serial = indicator_series(series, 5, "raw")
+    serial = serial_series(monkeypatch, series, 5, "raw")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    two = indicator_series(series, 5, "raw", processes=2)
+    two = indicator_series(series, 5, "raw")
     assert split == []
     assert two.values.tobytes() == serial.values.tobytes()
 
@@ -285,51 +314,108 @@ def test_compare_errors_are_the_serial_ones(tmp_path, monkeypatch, capsys, regim
     assert_no_child_left()
 
 
-# --- one BLAS thread per CLI process ------------------------------------------
+# --- one BLAS thread in the kernel ---------------------------------------------
 
 
-def python(code: str, **env) -> str:
-    """Stdout of ``code`` in a fresh interpreter on this package, with no preset thread count."""
+def test_the_kernel_runs_one_blas_thread_and_restores_the_callers_count(
+    monkeypatch, blas_threads
+):
+    get_threads, set_threads = blas_threads
+    during = []
+    check_chunk = engine._check_chunk
+
+    def checked(*args):
+        during.append(get_threads())
+        check_chunk(*args)
+
+    monkeypatch.setattr(engine, "_check_chunk", checked)
+    before = get_threads()
+    set_threads(2)
+    try:
+        caller = get_threads()
+        indicator_series(random_series(40, 5), 5, "standardized")
+        assert get_threads() == caller
+        with pytest.raises(ValidationError, match="period 9: R overflows"):
+            indicator_series(overflowing(8), 5, "raw")
+        assert get_threads() == caller
+    finally:
+        set_threads(before)
+    assert during and set(during) == {1}
+
+
+@pytest.mark.parametrize("caller", [3, 1])
+@pytest.mark.parametrize("two_processes", [False, True])
+def test_the_pin_sets_only_a_count_other_than_one(monkeypatch, forks, caller, two_processes):
+    # After a fork, setting OpenBLAS's count restarts its threads, which slows the products:
+    # so a process at one thread, such as a forked child, is left alone.
+    count, calls = [caller], []
+
+    def set_threads(threads):
+        calls.append(threads)
+        count[0] = threads
+
+    monkeypatch.setattr(engine, "_openblas_threads", lambda: (lambda: count[0], set_threads))
+    if two_processes:
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(engine, "_SPLIT_MACS", 1)
+    indicator_series(random_series(40, 5), 5, "raw")
+    assert forks == ([os.getpid()] if two_processes else [])
+    assert calls == ([1, caller] if caller != 1 else [])
+    assert count == [caller]
+
+
+def python(*args, **env) -> str:
+    """Stdout of ``python *args`` in a fresh interpreter on this package, no thread count set."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     package_root = str(Path(regimetrics.__file__).resolve().parents[1])
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env={**environ, **env}, capture_output=True, text=True,
-        check=True,
+        [sys.executable, *map(str, args)], env={**environ, **env}, capture_output=True,
+        text=True, check=True,
     )
     return result.stdout.strip()
 
 
 def test_import_regimetrics_loads_no_numpy():
     code = "import sys, regimetrics; print('numpy' in sys.modules, len(regimetrics.__all__))"
-    assert python(code) == f"False {len(regimetrics.__all__)}"
+    assert python("-c", code) == f"False {len(regimetrics.__all__)}"
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
-def test_cli_sets_one_blas_thread_unless_preset(preset, expected):
-    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-    code = "import os, regimetrics.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    assert python(code, **env) == expected
+@pytest.fixture(scope="module")
+def wide_events(tmp_path_factory):
+    """The treated event file of ``WIDE_SCENARIO``."""
+    data = tmp_path_factory.mktemp("wide")
+    scenario = data / "scenario.json"
+    scenario.write_text(json.dumps(WIDE_SCENARIO))
+    assert run(["generate", "--config", scenario, "--output-dir", data]) == 0
+    return data / "events_treated.csv"
 
 
-# The probe of perfbench's facts line: the thread count of each OpenBLAS library loaded.
-BLAS_THREADS = """
-import ctypes, regimetrics.cli
-threads = None
-libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}
-for lib in libs:
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        get_threads = getattr(ctypes.CDLL(lib), name, None)
-        threads = get_threads() if get_threads else threads
-print(threads)
-"""
+def analyze_argv(events, mode, out):
+    return ["analyze", "--events", events, "--mode", mode, "--output-dir", out]
 
 
-def test_cli_process_runs_one_blas_thread():
-    if not Path("/proc/self/maps").exists():
-        pytest.skip("no /proc/self/maps to find the BLAS library in")
-    threads = python(BLAS_THREADS)
-    if threads == "None":
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count query")
-    assert threads == "1"
+@pytest.mark.parametrize("mode", ["raw", "standardized"])
+def test_analyze_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, wide_events,
+                                                              blas_threads, mode):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        python("-m", "regimetrics.cli", *analyze_argv(wide_events, mode, out),
+               OPENBLAS_NUM_THREADS=threads)
+        outputs.append(output_bytes(out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", ["raw", "standardized"])
+def test_in_process_analyze_gives_the_fresh_process_bytes(tmp_path, wide_events, blas_threads,
+                                                          mode):
+    python("-m", "regimetrics.cli", *analyze_argv(wide_events, mode, tmp_path / "fresh"))
+    get_threads, set_threads = blas_threads
+    before = get_threads()
+    set_threads(2)  # a library caller at numpy's default count on 2 cores
+    try:
+        assert run(analyze_argv(wide_events, mode, tmp_path / "here")) == 0
+    finally:
+        set_threads(before)
+    assert output_bytes(tmp_path / "here") == output_bytes(tmp_path / "fresh")
