@@ -20,14 +20,14 @@ without them. One reader (``_read_table``) and one writer
   request_text`` rows (its own rules live in ``catalog``).
 
 The numeric cells of event, comparison and indicator tables are
-converted in ``_read_values``. Data rows made only of the plain alphabet
+converted in ``_read_numeric``. Data rows made only of the plain alphabet
 (ASCII ``0-9 . e E + -``, comma, space, ``\\n``, and ``\\r`` at a line end)
 go through one ``np.loadtxt`` call, numpy's C reader, and the dense ``t``
 rule and finiteness are checked on its arrays. Any other data (an
 embedded ``\\r`` too) and any row, rule or warning that stops that call
-take the one scan, ``_scan_values``: the file is read again and each cell
-converted by ``int()`` or ``float()``, up to the first bad one, named with
-its line. The accepted syntax and every message are the scan's either way.
+take the one scan in a second open of the file: each cell is converted by
+``int()`` or ``float()``, up to the first bad one, named with its line.
+The accepted syntax and every message are the scan's either way.
 
 The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
@@ -156,7 +156,7 @@ def is_indicator_output(path) -> bool:
 
 @contextmanager
 def _read_table(path, directives=(), first_period=None, repeated=(), closing=()):
-    """Open a delimited table; yield ``(line, header, found, rows, rest)``.
+    """Open a delimited table; yield ``(line, header, found, rows, blocks)``.
 
     ``line`` is the header's physical line and ``found`` the directives
     as ``(line, name, value)``; a name not in ``directives`` is an error,
@@ -165,14 +165,17 @@ def _read_table(path, directives=(), first_period=None, repeated=(), closing=())
     starts with ``t``, ``t`` must be ``first_period`` (by default the
     first row's own value) on the first row and go up by 1 on each later
     row, and ``cells`` are the other fields; otherwise ``t`` is None.
-    ``closing`` names the directives that close the table instead: the
-    data rows end at the first line that starts with ``#``, and when
-    ``rows`` ends, the lines from there on are read by ``_read_closing``
-    into ``found``. A byte that is not UTF-8 is an error at its own line,
-    raised when the text around it is first read. ``rest`` is ``(line,
-    handle)``: the open text handle just after the header and the line it
-    is at, for a reader that takes the data rows as raw text instead of
-    ``rows``; both read the same handle, so use only one.
+    ``blocks`` streams the same data as text, in blocks of about
+    ``_PLAIN_BLOCK_CHARS`` characters that end at a line end; both read
+    one handle, so use only one. ``closing`` names the directives that
+    close the table instead: the data ends at the first line that starts
+    with ``#``. ``blocks`` cuts only at the first ``#`` of a block, where
+    it starts the block or follows a ``\\n``; any other ``#`` stays in
+    the text, where no plain number holds it. Once the caller's block
+    ends without an error, the lines from the cut on are read by
+    ``_read_closing`` into ``found``. A byte that is not UTF-8 is an
+    error at its own line, raised when the text around it is first read
+    (in ``blocks``, a UnicodeDecodeError).
     """
     with open(path, newline="", encoding="utf-8") as handle:
         lines = _decoded_lines(handle, path)
@@ -185,13 +188,13 @@ def _read_table(path, directives=(), first_period=None, repeated=(), closing=())
                 break
         else:
             raise ParseError("missing header", source=path, line=1)
-        header = None  # set once the header is read: the data rows start after it
-        closed = []  # the first line of the closing directives, once met
+        header = None  # set once the header is read: the data lines start after it
+        cut = []  # the line and the text of the closing directives, once met
 
         def data_lines():
             for raw in lines:
                 if closing and header is not None and raw.lstrip().startswith("#"):
-                    closed.append(raw)
+                    cut.extend((header_line + reader.line_num, raw))
                     return
                 yield raw
 
@@ -233,11 +236,24 @@ def _read_table(path, directives=(), first_period=None, repeated=(), closing=())
                     raise ParseError(message, source=path, line=line)
                 expected += 1
                 yield line, t, row[1:]
-            if closed:
-                after = itertools.chain(closed, lines)
-                _read_closing(after, path, header_line + reader.line_num, closing, found)
 
-        yield header_line, header, found, rows(), (header_line + reader.line_num, handle)
+        def blocks():
+            line = header_line + reader.line_num  # the first data line
+            while block := handle.read(_PLAIN_BLOCK_CHARS):
+                block += handle.readline()
+                data, mark, tail = block.partition("#") if closing else (block, "", "")
+                if mark and data[-1:] in ("", "\n"):
+                    cut.extend((line + data.count("\n"), mark + tail))
+                    yield data
+                    return
+                # A lone \r ends a line too, and the last line of a block may end with one.
+                line += block.count("\n") + block.endswith("\r")
+                yield block
+
+        yield header_line, header, found, rows(), blocks()
+        if cut:
+            after = itertools.chain(StringIO(cut[1], newline=""), lines)
+            _read_closing(after, path, cut[0], closing, found)
 
 
 def _add_directive(found, text, path, line, names, repeated=()) -> None:
@@ -355,7 +371,8 @@ def parse_events(path) -> EnterpriseModel:
     Periods run densely from 1, every cell must be a finite number, and
     the header of an indicator output is rejected.
     """
-    with _read_table(path, first_period=1) as (line, header, _, _, rest):
+
+    def check(line, header, _):
         labels = header[1:]
         if header[0] != EVENT_PERIOD_COLUMN:
             problem = f"first header column must be {EVENT_PERIOD_COLUMN!r}"
@@ -369,10 +386,11 @@ def parse_events(path) -> EnterpriseModel:
             problem = None
         if problem:
             raise ParseError(problem, source=path, line=line)
-        _, events, _ = _read_values(path, header, rest, dict(first_period=1))
+
+    line, header, _, _, events = _read_numeric(path, check, first_period=1)
     if not events.size:
         raise ParseError("no data rows (t_max = 0)", source=path, line=line)
-    return EnterpriseModel(events=events, channel_labels=labels)
+    return EnterpriseModel(events=events, channel_labels=header[1:])
 
 
 # The plain alphabet. Data rows made only of these characters go to np.loadtxt,
@@ -385,61 +403,56 @@ _PLAIN = b"0123456789.eE+-, \n\r"
 _PLAIN_BLOCK_CHARS = 1 << 16
 
 
-def _read_values(path, header, rest, table) -> tuple[np.ndarray, np.ndarray, list]:
-    """Periods, cells and closing directives of a table whose header starts with ``t``.
+def _read_numeric(path, check, **table) -> tuple:
+    """``(line, header, found, periods, values)`` of a table whose header starts with ``t``.
 
-    ``rest`` is ``_read_table``'s ``(line, handle)`` after the header, and
-    ``table`` holds the table's ``_read_table`` arguments. Plain numeric
-    data (``\\r`` only at a line end) is converted by one ``np.loadtxt``
-    call (``_load_plain``), with the dense ``t`` rule and finiteness
-    checked on its arrays. Any refusal, an embedded ``\\r`` among them,
-    defers to the one scan (``_scan_values``), the file's second and last
-    read, which stops at the first bad cell; so both paths give the same
-    arrays or the same error. The closing directives, as ``(line, name,
-    value)``, are read after the rows on either path.
+    ``table`` holds the ``_read_table`` arguments. ``check(line, header,
+    found)`` raises the caller's errors in the header and the leading
+    directives, in each open before any cell is converted. Plain numeric
+    data (``\\r`` only at a line end) is converted in the first open by
+    one ``np.loadtxt`` call (``_load_plain``). Any refusal, an embedded
+    ``\\r`` among them, leaves that open for the one scan in a second, which
+    converts each cell by ``_parse_float`` up to the first bad one; so both
+    paths give the same arrays or the same error. ``found`` ends with the
+    closing directives, read once the rows are.
     """
     try:
-        width, first_period = len(header) - 1, table.get("first_period")
-        return _load_plain(path, rest, width, first_period, table.get("closing", ()))
+        with _read_table(path, **table) as (line, header, found, _, blocks):
+            check(line, header, found)
+            periods, values = _load_plain(blocks, len(header) - 1, table.get("first_period"))
+        return line, header, found, periods, values
     except (ValueError, Warning):
         pass  # the scan is the reference, so every refusal here defers to it
-    return _scan_values(path, table)
+    with _read_table(path, **table) as (line, header, found, rows, _):
+        check(line, header, found)
+        first = next(rows, (None, 1, ()))  # a table without rows reads as periods from 1
+        scanned = (
+            _parse_float(cell, path, at, label)
+            for at, _, cells in itertools.chain([first], rows)
+            for cell, label in zip(cells, header[1:])
+        )
+        values = np.fromiter(scanned, dtype=float).reshape(-1, len(header) - 1)
+    periods = np.arange(first[1], first[1] + len(values), dtype=np.int64)
+    return line, header, found, periods, values
 
 
-def _load_plain(path, rest, width, first_period, closing) -> tuple[np.ndarray, np.ndarray, list]:
-    """Periods, values and closing directives of plain numeric rows, by one ``np.loadtxt`` call.
+def _load_plain(blocks, width, first_period) -> tuple[np.ndarray, np.ndarray]:
+    """Periods and values of plain numeric rows, by one ``np.loadtxt`` call.
 
-    ``t`` is read as int64, so it is parsed as ``int()`` would and ``1.0``
-    is refused. The text is checked against the plain alphabet a block at
-    a time as loadtxt takes it, so no second copy of it is held. Raises
-    ValueError when the text leaves the alphabet or breaks the dense ``t``
-    rule or finiteness; loadtxt's own errors, and its warnings (made
-    errors, so that a table without data rows raises), propagate. In a
-    table with closing directives the data ends at the first ``#``, which
-    must start a line; the lines from there on are read by
-    ``_read_closing`` once the rows are accepted, numbered by the line
-    ends before them.
+    ``blocks`` is ``_read_table``'s stream of data text. ``t`` is read as
+    int64, so it is parsed as ``int()`` would and ``1.0`` is refused. Each
+    block is checked against the plain alphabet as loadtxt takes it, so no
+    second copy of the text is held. Raises ValueError when the text
+    leaves the alphabet or breaks the dense ``t`` rule or finiteness;
+    loadtxt's own errors, and its warnings (made errors, so that a table
+    without data rows raises), propagate.
     """
-    line, handle = rest
-    after = []  # the text from the first closing directive on
 
     def lines():
-        nonlocal line
-        # Each block ends at a line end, so no row is split between two blocks.
-        while block := handle.read(_PLAIN_BLOCK_CHARS):
-            block += handle.readline()
-            if closing:
-                block, mark, tail = block.partition("#")
-                if mark:
-                    if block[-1:] not in ("", "\n"):
-                        raise ValueError("'#' inside a data row")
-                    after.append(mark + tail + handle.read())
+        for block in blocks:
             if not block.isascii() or block.encode("ascii").translate(None, _PLAIN):
                 raise ValueError("not plain numeric data")
-            line += block.count("\n")
             yield from block.split("\n")
-            if after:
-                return
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -454,36 +467,11 @@ def _load_plain(path, rest, width, first_period, closing) -> tuple[np.ndarray, n
     start = int(data["t"][0])
     # Cut at the int64 limit, so rows that run past it are never dense.
     periods = np.arange(start, min(start + len(data), _INT64.max + 1), dtype=np.int64)
-    values = np.ascontiguousarray(data["v"])
     if first_period not in (None, start) or not np.array_equal(data["t"], periods):
         raise ValueError("periods do not run densely from the first period")
-    if not np.isfinite(values).all():
+    if not np.isfinite(data["v"]).all():
         raise ValueError("a cell is not finite")
-    found = []
-    if after:
-        _read_closing(StringIO(after[0], newline=""), path, line, closing, found)
-    return periods, values, found
-
-
-def _scan_values(path, table) -> tuple[np.ndarray, np.ndarray, list]:
-    """Periods, cells and closing directives of a table, read once more through ``_read_table``.
-
-    ``table`` holds the ``_read_table`` arguments. Each cell is converted
-    by ``_parse_float``, so the first bad cell in file order raises with
-    its line, and the cells go straight into one array.
-    """
-    with _read_table(path, **table) as (_, header, found, rows, _):
-        leading = len(found)
-        first = next(rows, (None, 1, ()))  # a table without rows reads as periods from 1
-        scanned = (
-            _parse_float(cell, path, at, label)
-            for at, _, cells in itertools.chain([first], rows)
-            for cell, label in zip(cells, header[1:])
-        )
-        values = np.fromiter(scanned, dtype=float)
-    values = values.reshape(-1, len(header) - 1)
-    periods = np.arange(first[1], first[1] + len(values), dtype=np.int64)
-    return periods, values, found[leading:]
+    return periods, data["v"]
 
 
 # --- competency mapping ----------------------------------------------------
@@ -643,7 +631,9 @@ def write_comparison_table(path, comparison: RegimeComparison, totals=None) -> P
 def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, float] | None]:
     """Parse a comparison table into a RegimeComparison and its ``# totals:`` triple or None."""
     totals = None
-    with _read_table(path, ("totals",)) as (line, header, found, _, rest):
+
+    def check(line, header, found):
+        nonlocal totals
         for at, _, value in found:
             parts = value.split(",")
             if len(parts) != 3:
@@ -652,7 +642,8 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
         if header != COMPARISON_HEADER:
             message = f"header must be {','.join(COMPARISON_HEADER)}"
             raise ParseError(message, source=path, line=line)
-        periods, values, _ = _read_values(path, header, rest, dict(directives=("totals",)))
+
+    _, _, _, periods, values = _read_numeric(path, check, directives=("totals",))
     return RegimeComparison(periods, *values.T), totals
 
 
@@ -678,12 +669,13 @@ def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarr
     """
     _check_window_length(k)
     stated = dict(zip(_RUN_DIRECTIVES, (str(k), mode)))
-    table = dict(closing=_RUN_DIRECTIVES)
-    with _read_table(path, **table) as (line, header, _, _, rest):
+
+    def check(line, header, _):
         if not _is_indicator_header(header):
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
-        periods, values, found = _read_values(path, header, rest, table)
+
+    line, _, found, periods, values = _read_numeric(path, check, closing=_RUN_DIRECTIVES)
     for at, name, value in found:
         if value != stated[name]:
             message = f"indicator output of {name} {value}, not {stated[name]}"
@@ -725,7 +717,8 @@ def emit_report(
     and ``metadata.json`` always comes last. With ``pad_warmup`` the plot
     files gain zero rows for the warm-up periods 1..k (flagged in the
     metadata) so external plots align with the raw period axis. The tables
-    and plot files state ``k`` and ``mode``, which ``indicators`` must share.
+    and plot files state ``k`` and ``mode``, which ``indicators`` must share;
+    the periods must run k + 1, k + 2, ... as ``read_indicator_column`` reads.
     """
     validate_mode(mode)
     _check_window_length(k)
@@ -734,11 +727,14 @@ def emit_report(
     if indicators is not None and (indicators.k, indicators.mode) != (k, mode):
         made = f"window {indicators.k}, mode {indicators.mode!r}"
         raise ValidationError(f"indicators of {made} in a report of window {k}, mode {mode!r}")
-    destination = Path(destination)
-    destination.mkdir(parents=True, exist_ok=True)
     periods = (indicators if comparison is None else comparison).periods
     if periods.size == 0:
         raise ValidationError("refusing to emit a report with no evaluable periods")
+    if not np.array_equal(periods, np.arange(k + 1, k + 1 + periods.size)):
+        message = f"periods {periods[0]}..{periods[-1]} are not {k + 1}, {k + 2}, ... in a row"
+        raise ValidationError(f"{message}, as window {k} gives")
+    destination = Path(destination)
+    destination.mkdir(parents=True, exist_ok=True)
     if comparison is not None:
         totals = (comparison.basic_total, comparison.treated_total, comparison.delta_total)
         table = write_comparison_table(destination / "comparison.csv", comparison, totals)

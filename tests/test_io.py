@@ -347,6 +347,22 @@ def test_emit_refuses_empty_evaluable_range(tmp_path):
         emit_report(tmp_path / "out", 4, "raw", comparison=comparison)
 
 
+@pytest.mark.parametrize("pad_warmup", [False, True], ids=["plain", "padded"])
+@pytest.mark.parametrize(
+    "periods, span",
+    [(range(20, 26), "20..25"), (range(2, 8), "2..7"), ([5, 6, 8, 9], "5..9")],
+    ids=["late", "early", "gap"],
+)
+def test_emit_refuses_periods_the_window_does_not_give(tmp_path, periods, span, pad_warmup):
+    # read_indicator_column reads back only periods k + 1, k + 2, ... in a row.
+    values = np.arange(1.0, 1.0 + len(periods))
+    comparison = compare_regimes((periods, values), (periods, 2 * values))
+    message = f"periods {span} are not 5, 6, ... in a row, as window 4 gives"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        emit_report(tmp_path / "out", 4, "raw", comparison=comparison, pad_warmup=pad_warmup)
+    assert not (tmp_path / "out").exists()
+
+
 def test_emit_single_period_report(tmp_path, make_series):
     series = make_series(4, 5, 2)
     indicators = indicator_series(series, 4)  # exactly one evaluable period

@@ -239,9 +239,9 @@ def test_tables_loadtxt_reads_unlike_the_streamed_path_take_it(tmp_path, kind, t
     path = tmp_path / "table.csv"
     path.write_text(text + stated(kind), encoding="utf-8")
     expected = scanned_outcome(kind, path)
-    with mock.patch.object(rio, "_scan_values", wraps=rio._scan_values) as scanned:
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
         assert outcome(kind, path) == expected
-    assert scanned.call_count == 1
+    assert opened.call_count == 2  # the scan is the second open
 
 
 @pytest.mark.parametrize(
@@ -328,22 +328,65 @@ def assert_read_bits(kind, path, expected):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
-def test_writer_outputs_and_bundled_reference_take_the_fast_path(tmp_path, monkeypatch):
-    tables = written_tables(tmp_path)
-    monkeypatch.setattr(rio, "_scan_values", mock.Mock(side_effect=AssertionError("scanned")))
-    for path, kind, expected in tables:
+def assert_read_once(kind, path, expected):
+    """The reader of ``kind`` returns ``expected`` from one open: a scan would be a second."""
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
         assert_read_bits(kind, path, expected)
-    comparison, totals = load_reference()
+    assert opened.call_count == 1
+
+
+def test_writer_outputs_and_bundled_reference_take_the_fast_path(tmp_path):
+    tables = written_tables(tmp_path)
+    for path, kind, expected in tables:
+        assert_read_once(kind, path, expected)
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+        comparison, totals = load_reference()
+    assert opened.call_count == 1
     assert comparison.periods.tolist() == list(range(1, 58))
     assert totals == (5069.93, 5491.28, 421.35)
 
 
-def test_crlf_copies_take_the_fast_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(rio, "_scan_values", mock.Mock(side_effect=AssertionError("scanned")))
+def test_crlf_copies_take_the_fast_path(tmp_path):
     for path, kind, expected in written_tables(tmp_path):
         crlf = path.with_name(f"crlf-{path.name}")
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert_read_bits(kind, crlf, expected)
+        assert_read_once(kind, crlf, expected)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "closing", ["# k: 4\n# mode: raw\n", "# k: 4\n# mode: raw\n\n# k: 4"], ids=["run", "duplicate"]
+)
+def test_closing_directives_at_any_block_boundary_read_alike(
+    tmp_path, monkeypatch, ending, closing
+):
+    # Blocks of every size up to the whole text put the first closing line at the start of a
+    # block, inside one, and where the characters read before its line end stop.
+    text = ending.join(["t,v_total", "5,1", "6,2", "7,3", ""]) + closing
+    path = tmp_path / "plot.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = scanned_outcome("indicator", path)
+    opens = set()
+    for chars in range(1, len(text) + 1):
+        monkeypatch.setattr(rio, "_PLAIN_BLOCK_CHARS", chars)
+        with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+            assert outcome("indicator", path) == expected
+        opens.add(opened.call_count)
+    # numpy's reader refuses a \r inside a block, so with \r line ends only one-line blocks
+    # take it; with the others every block size does.
+    assert opens == ({1, 2} if ending == "\r" else {1})
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_block_is_an_error_at_its_line(tmp_path):
+    rows = [f"{t},{t}.5\n".encode() for t in range(1, 20001)]
+    rows[15000] = b"15001,\xff\n"
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"t,a\n" + b"".join(rows))
+    assert sum(map(len, rows[:15000])) > rio._PLAIN_BLOCK_CHARS
+    message = f"{path}:15002: not UTF-8 text: byte 0xff (invalid start byte)"
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+        assert outcome("events", path) == ("error", "ParseError", message, 15002)
+    assert opened.call_count == 2
 
 
 def test_header_only_event_file_raises_without_a_warning(tmp_path):
@@ -403,3 +446,14 @@ def test_a_directive_that_does_not_state_the_run_costs_one_open(tmp_path, direct
             read_window_3(path)
     assert str(caught.value) == f"{path}:{message}"
     assert opened.call_count == 1
+
+
+def test_a_period_error_comes_before_a_closing_directive_error(tmp_path):
+    # Both paths stop at the rows: numpy's reader refuses the gap, and the scan names it.
+    path = tmp_path / "plot.csv"
+    path.write_text("t,v_total\n4,1\n6,1\n# k: 3\n# mode: raw\n# k: 3\n", encoding="utf-8")
+    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+        with pytest.raises(ParseError) as caught:
+            read_window_3(path)
+    assert str(caught.value) == f"{path}:3: missing period 5"
+    assert opened.call_count == 2
