@@ -124,24 +124,30 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    model = parse_events(args.events)
-    if args.mapping:
-        mapping = parse_mapping(args.mapping, model.channel_labels, catalog=default_catalog())
-        report = check_budget(mapping)
-        print(
-            f"budget: {report.total_cost:g} of {report.budget:g} used "
-            f"({len(report.active)} active competencies)"
-        )
-        series = apply_mapping(model, mapping)
-        if series.masked_channels:
-            masked = ", ".join(model.channel_labels[j] for j in series.masked_channels)
-            print(f"masked channels: {masked}")
-    else:
-        series = MappedSeries.from_model(model)
-    indicators = indicator_series(series, args.window, args.mode)
+    # The series is the one reference to the events left when the kernel starts, and
+    # none is left when the report is written.
+    indicators = indicator_series(_analyzed_series(args), args.window, args.mode)
     _emit(args, indicators=indicators)
     print(f"total indicator: {indicators.total!r}")
     return 0
+
+
+def _analyzed_series(args) -> MappedSeries:
+    """The events of ``args.events``, masked by ``args.mapping`` when one is given."""
+    model = parse_events(args.events)
+    if not args.mapping:
+        return MappedSeries.from_model(model)
+    mapping = parse_mapping(args.mapping, model.channel_labels, catalog=default_catalog())
+    report = check_budget(mapping)
+    print(
+        f"budget: {report.total_cost:g} of {report.budget:g} used "
+        f"({len(report.active)} active competencies)"
+    )
+    series = apply_mapping(model, mapping)
+    if series.masked_channels:
+        masked = ", ".join(series.channel_labels[j] for j in series.masked_channels)
+        print(f"masked channels: {masked}")
+    return series
 
 
 def _emit(args, **result) -> None:

@@ -55,9 +55,14 @@ DEFAULT_WINDOW = 12
 SYMMETRY_TOL = 1e-12
 STANDARDIZED_BOUND_TOL = 1e-9
 
-# The kernel walks windows in chunks of periods whose live temporaries
-# (the Gram stack plus two window stacks) stay under this many bytes.
-_CHUNK_BYTES = 4 << 20
+# The kernel walks windows in chunks of periods of n * (n + 2k) doubles each that fit in
+# this many bytes. A chunk holds its n x n Gram stack, and in standardized mode, before
+# that, two (k, n) window stacks and about six n-rows of window extremes and sums per
+# period. Under tracemalloc a chunk's temporaries peaked at 0.3-1.0x the budget for
+# n = 8, 50 and 400, and at 1.2x for one standardized channel. The budget fits the
+# 2 MB L2 per core of the x86 host it was measured on: at 1 MB the standardized kernel
+# got slower there (medians of 9, 10k x 50: 0.133 -> 0.138 s, 50k x 8: 0.056 -> 0.065 s).
+_CHUNK_BYTES = 2 << 20
 # Where the kernel's one-thread pin holds, a run of at least this many multiply-adds
 # (periods x n^2 x k) computes its second half in a forked child. On a 2-core x86 host
 # a raw run of 50 channels and 4,600 periods (138M) fell from 54 to 35 ms that way,
@@ -215,27 +220,38 @@ def _window_kernel(
     """
     n, count = series.n, last - first + 1
     rows = series.values[first - k - 1 : last - 1]
-    # Window w is the chronological (k, n) slice of rows w .. w + k - 1.
-    windows = sliding_window_view(rows, k, axis=0).transpose(0, 2, 1)
     step = _chunk_periods(n, k)
     out = np.empty((count, n, n) if signed else (count, n))
-    degenerate = np.zeros((count, n), dtype=bool)
+    degenerate = np.empty((count, n), dtype=bool)
     with _one_blas_thread():
         for start in range(0, count, step):
             stop = min(start + step, count)
-            block = windows[start:stop]
-            if mode == STANDARDIZED:
-                block, degenerate[start:stop] = _standardize(rows[start : stop + k - 1], k)
-            # Raw overflow is not a warning: _check_chunk raises naming the period.
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = np.matmul(block.transpose(0, 2, 1), block)
-                r /= k - 1
-                magnitude = np.abs(r, out=None if signed else r)
-                sums = magnitude.sum(axis=2)
-            flags = degenerate[start:stop]
-            _check_chunk(magnitude, sums, flags, mode, first + start, series.channel_labels)
-            out[start:stop] = r if signed else sums
+            out[start:stop], degenerate[start:stop] = _chunk_kernel(
+                rows[start : stop + k - 1], k, mode, signed, first + start, series.channel_labels
+            )
     return out, degenerate
+
+
+def _chunk_kernel(rows, k: int, mode: str, signed: bool, first: int, labels):
+    """Indicator rows, or the signed R stack, and degenerate flags of each window of ``rows``.
+
+    A function of its own, so that a chunk's temporaries are freed before
+    the next chunk allocates its own.
+    """
+    if mode == STANDARDIZED:
+        block, degenerate = _standardize(rows, k)
+    else:
+        # Window w is the chronological (k, n) slice of rows w .. w + k - 1.
+        block = sliding_window_view(rows, k, axis=0).transpose(0, 2, 1)
+        degenerate = np.zeros((len(block), rows.shape[1]), dtype=bool)
+    # Raw overflow is not a warning: _check_chunk raises naming the period.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.matmul(block.transpose(0, 2, 1), block)
+        r /= k - 1
+        magnitude = np.abs(r, out=None if signed else r)
+        sums = magnitude.sum(axis=2)
+    _check_chunk(magnitude, sums, degenerate, mode, first, labels)
+    return (r if signed else sums), degenerate
 
 
 @dataclass(frozen=True)
@@ -369,8 +385,11 @@ def indicator_series(
         values, _ = _window_kernel(series, k, mode, first, last)
     else:
         values = _two_process_kernel(series, k, mode, first, first + half, last)
+    periods = np.arange(first, last + 1)
+    for owned in (periods, values):
+        owned.setflags(write=False)  # so IndicatorSeries shares them (model._frozen_array)
     return IndicatorSeries(
-        periods=np.arange(k + 1, series.t_max + 1),
+        periods=periods,
         values=values,
         k=k,
         mode=mode,

@@ -44,13 +44,18 @@ class ValidationError(RegimetricsError):
 
 
 class BudgetError(ValidationError):
-    """Active competency costs exceed the available budget."""
+    """Active competency costs exceed the available budget.
 
-    def __init__(self, total_cost: float, budget: float):
+    ``source`` says where the budget was stated (``path:line``), when known.
+    """
+
+    def __init__(self, total_cost: float, budget: float, source: str | None = None):
         self.total_cost = float(total_cost)
         self.budget = float(budget)
+        self.source = source
+        prefix = f"{source}: " if source is not None else ""
         super().__init__(
-            f"competency costs {self.total_cost:g} exceed budget {self.budget:g}"
+            f"{prefix}competency costs {self.total_cost:g} exceed budget {self.budget:g}"
         )
 
 

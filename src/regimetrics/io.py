@@ -81,7 +81,7 @@ _RUN_DIRECTIVES = ("k", "mode")
 # Periods are int64 arrays, so a period outside this range is an error at its line.
 _INT64 = np.iinfo(np.int64)
 # Cells that _write_table holds as Python floats (about 30 bytes each) at once.
-_WRITE_BLOCK_CELLS = 1 << 15
+_WRITE_BLOCK_CELLS = 1 << 13
 # Cells, the period column's included, from which _write_table forks a child for half the
 # rows (fork and reap: about 2.4 ms).
 _SPLIT_CELLS = 1 << 16
@@ -290,13 +290,11 @@ def _decoded_lines(handle, path):
         raise not_utf8(path) from None
 
 
-def _write_table(
-    path, header, rows=(), directives=(), periods=(), values=None, closing=()
-) -> Path:
+def _write_table(path, header, rows=(), directives=(), periods=(), columns=(), closing=()) -> Path:
     """Write ``# name: value`` directives, a header, rows and closing directives atomically.
 
     The header and ``rows`` go through ``csv``, which quotes labels as
-    needed. ``values`` is a 2-D float array written after them (see
+    needed. ``columns`` are float arrays written after them (see
     ``_write_values``), and the ``closing`` directives come last.
     """
     with _atomic_open(path) as handle:
@@ -304,18 +302,21 @@ def _write_table(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        if values is not None:
-            _write_values(handle, Path(path).parent, periods, values)
+        if columns:
+            _write_values(handle, Path(path).parent, periods, columns)
         handle.writelines(f"# {name}: {value}\n" for name, value in closing)
     return Path(path)
 
 
-def _write_values(handle, directory, periods, values) -> None:
-    """Write a 2-D float array to ``handle``, each row led by its period from ``periods``.
+def _write_values(handle, directory, periods, columns) -> None:
+    """Write the rows of ``columns`` to ``handle``, each led by its period from ``periods``.
 
-    Each cell is the shortest round-trip repr: the bytes ``csv`` writes
-    for ``fmt`` cells, which never need quoting. Lines go to the file a
-    block of rows at a time, so no copy of the whole text is held.
+    ``columns`` are float arrays of one row per period, 1-D for one
+    column or 2-D for several, written side by side. Each cell is the
+    shortest round-trip repr: the bytes ``csv`` writes for ``fmt`` cells,
+    which never need quoting. The columns are stacked, and the periods
+    and cells turned into Python numbers, a block of rows at a time, so
+    no copy of the whole table is held in any form.
 
     A table of ``_SPLIT_CELLS`` cells or more, counting the period column,
     is formatted by two processes (see ``_fork.forked``): a child writes
@@ -324,32 +325,36 @@ def _write_values(handle, directory, periods, values) -> None:
     process formats those rows too, so the bytes and errors are the
     serial loop's.
     """
-    periods = np.asarray(periods).astype(int).tolist()
-    values = np.asarray(values, dtype=float)
-    if len(values) * (values.shape[1] + 1) < _SPLIT_CELLS:
-        handle.writelines(_row_text(periods, values))
+    periods = np.asarray(periods)
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    if len(periods) + sum(column.size for column in columns) < _SPLIT_CELLS:
+        handle.writelines(_row_text(periods, columns))
         return
-    mid = len(values) // 2
+    mid = len(periods) // 2
+    tail = (periods[mid:], [column[mid:] for column in columns])
 
     def second_half(out):
-        out.writelines(map(str.encode, _row_text(periods[mid:], values[mid:])))
+        out.writelines(map(str.encode, _row_text(*tail)))
 
     with forked(second_half, dir=directory) as collect:
-        handle.writelines(_row_text(periods[:mid], values[:mid]))
-        tail = collect()
-        if tail is None:
-            handle.writelines(_row_text(periods[mid:], values[mid:]))
+        handle.writelines(_row_text(periods[:mid], [column[:mid] for column in columns]))
+        out = collect()
+        if out is None:
+            handle.writelines(_row_text(*tail))
         else:
             handle.flush()
-            shutil.copyfileobj(tail, handle.buffer)
+            shutil.copyfileobj(out, handle.buffer)
 
 
-def _row_text(periods, values):
-    """Text of the value rows, a block of ``_WRITE_BLOCK_CELLS`` cells at a time."""
-    step = max(1, _WRITE_BLOCK_CELLS // max(1, values.shape[1]))
-    for start in range(0, len(values), step):
-        block = zip(periods[start : start + step], values[start : start + step].tolist())
-        yield "".join([f"{t},{','.join(map(repr, row))}\n" for t, row in block])
+def _row_text(periods, columns):
+    """Text of the rows of ``columns``, a block of ``_WRITE_BLOCK_CELLS`` cells at a time."""
+    width = sum(1 if column.ndim == 1 else column.shape[1] for column in columns)
+    step = max(1, _WRITE_BLOCK_CELLS // max(1, width))
+    for start in range(0, len(periods), step):
+        stop = start + step
+        block = np.column_stack([column[start:stop] for column in columns]).tolist()
+        rows = zip(periods[start:stop].astype(int).tolist(), block)
+        yield "".join([f"{t},{','.join(map(repr, row))}\n" for t, row in rows])
 
 
 # --- event series ----------------------------------------------------------
@@ -361,8 +366,8 @@ def write_events(model: EnterpriseModel, path) -> Path:
     if _is_indicator_header(header):
         message = f"last channel label {header[-1]!r} is reserved for indicator outputs"
         raise ValidationError(message)
-    periods = range(1, model.t_max + 1)
-    return _write_table(path, header, periods=periods, values=model.events)
+    periods = np.arange(1, model.t_max + 1)
+    return _write_table(path, header, periods=periods, columns=[model.events])
 
 
 def parse_events(path) -> EnterpriseModel:
@@ -504,6 +509,7 @@ def parse_mapping(path, channel_labels, catalog=None) -> CompetencyMapping:
     channel_labels = tuple(channel_labels)
     column_of = {label: j for j, label in enumerate(channel_labels)}
     budget: float | None = None
+    budget_line: int | None = None
     costs: dict[str, float] = {}
     pairs: dict[tuple[str, str], int] = {}
     named_at: dict[str, int] = {}  # competency id -> first line naming it
@@ -520,7 +526,7 @@ def parse_mapping(path, channel_labels, catalog=None) -> CompetencyMapping:
     with table as (line, header, found, rows, _):
         for at, name, value in found:
             if name == "budget":
-                budget = amount(value, at, "budget")
+                budget, budget_line = amount(value, at, "budget"), at
                 continue
             cid, equals, text = (part.strip() for part in value.partition("="))
             if not equals:
@@ -560,6 +566,7 @@ def parse_mapping(path, channel_labels, catalog=None) -> CompetencyMapping:
         competency_ids=tuple(row_of),
         costs=np.array([costs.get(cid, 0.0) for cid in row_of]),
         budget=budget,
+        budget_source=f"{path}:{budget_line}",
     )
 
 
@@ -622,9 +629,9 @@ def write_scenario(config: ScenarioConfig, path) -> Path:
 def write_comparison_table(path, comparison: RegimeComparison, totals=None) -> Path:
     """Write a comparison and, when given, its ``# totals:`` triple."""
     directives = () if totals is None else [("totals", ",".join(map(fmt, totals)))]
-    values = np.column_stack((comparison.basic, comparison.treated, comparison.delta))
+    columns = (comparison.basic, comparison.treated, comparison.delta)
     return _write_table(
-        path, COMPARISON_HEADER, directives=directives, periods=comparison.periods, values=values
+        path, COMPARISON_HEADER, directives=directives, periods=comparison.periods, columns=columns
     )
 
 
@@ -649,9 +656,9 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:
     header = (EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total")
-    values = np.column_stack((indicators.values, indicators.per_period_totals()))
+    columns = (indicators.values, indicators.per_period_totals())
     run = zip(_RUN_DIRECTIVES, (indicators.k, indicators.mode))
-    return _write_table(path, header, periods=indicators.periods, values=values, closing=run)
+    return _write_table(path, header, periods=indicators.periods, columns=columns, closing=run)
 
 
 def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -696,9 +703,8 @@ def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarr
 
 
 def write_plot_data(path, periods, aggregates, k: int, mode: str) -> Path:
-    values = np.asarray(aggregates)[:, None]
     run = zip(_RUN_DIRECTIVES, (k, mode))
-    return _write_table(path, PLOT_HEADER, periods=periods, values=values, closing=run)
+    return _write_table(path, PLOT_HEADER, periods=periods, columns=[aggregates], closing=run)
 
 
 # --- analysis reports ------------------------------------------------------

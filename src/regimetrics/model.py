@@ -11,7 +11,7 @@ valid and ``_check_window_bounds`` which periods have a window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,26 @@ MODES = (RAW, STANDARDIZED)
 
 
 def _frozen_array(values, dtype=float, ndim: int | None = None, name: str = "array") -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """``values`` as a read-only array of ``dtype``, shared where that is safe.
+
+    The ownership rule: a plain ndarray (no subclass) of ``dtype`` that
+    is already read-only and owns its data is returned as is. Whoever
+    froze it gave up writing to it, so it is shared, not copied; a
+    writeable view taken before the freeze, or the flag set back, would
+    break that promise. The package freezes the arrays it makes
+    (``apply_mapping``'s masked copy, the kernel's rows, the generator's
+    events) as soon as they are filled and before passing them on, so
+    each is held once. Anything else is copied: a view, whose base may be
+    written, and a writeable array, which stays the caller's and
+    writeable, and whose later changes never reach the copy.
+    """
+    arr = values
+    owned = type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable
+    if not owned or arr.dtype != np.dtype(dtype):
+        arr = np.array(values, dtype=dtype)
+        arr.setflags(write=False)
     if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -91,12 +107,15 @@ class CompetencyMapping:
 
     ``flags[i, j] == 1`` declares that event channel j evidences
     competency i. Costs and the budget are in thousand rubles.
+    ``budget_source`` says where the budget was stated, as ``path:line``
+    of a mapping file's ``# budget:`` directive, for error messages.
     """
 
     flags: np.ndarray
     competency_ids: tuple[str, ...]
     costs: np.ndarray
     budget: float
+    budget_source: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         flags = np.array(self.flags)
@@ -205,8 +224,9 @@ def apply_mapping(source, mapping: CompetencyMapping) -> MappedSeries:
     (applying the same mapping again changes nothing). Channel j of the
     output equals the input channel when the column-wise OR of flags is
     set, and is zero otherwise; zeroed channels are listed in
-    ``masked_channels``. Raises BudgetError (carrying the computed cost)
-    when the mapping's active competencies exceed the budget.
+    ``masked_channels``. Raises BudgetError (carrying the computed cost
+    and the mapping's ``budget_source``) when the mapping's active
+    competencies exceed the budget.
     """
     if isinstance(source, EnterpriseModel):
         values, labels = source.events, source.channel_labels
@@ -222,10 +242,11 @@ def apply_mapping(source, mapping: CompetencyMapping) -> MappedSeries:
         )
     report = check_budget(mapping)
     if not report.satisfied:
-        raise BudgetError(report.total_cost, mapping.budget)
+        raise BudgetError(report.total_cost, mapping.budget, mapping.budget_source)
     keep = mapping.active_channels()
     masked = tuple(int(j) for j in np.flatnonzero(~keep))
     out = np.where(keep, values, 0.0)
+    out.setflags(write=False)
     return MappedSeries(values=out, channel_labels=labels, masked_channels=masked)
 
 

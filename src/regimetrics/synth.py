@@ -154,6 +154,7 @@ def generate_series(config: ScenarioConfig) -> EnterpriseModel:
         labels += [f"{proc.name}.{c + 1}" for c in range(proc.channels)]
         first += proc.channels
     events = _with_intervention(events, config)
+    events.setflags(write=False)
     return EnterpriseModel(events=events, channel_labels=tuple(labels))
 
 
@@ -177,4 +178,5 @@ def paired_scenarios(config: ScenarioConfig) -> tuple[EnterpriseModel, Enterpris
     """
     baseline = generate_series(replace(config, intervention_period=None))
     treated = _with_intervention(baseline.events, config)
+    treated.setflags(write=False)
     return baseline, EnterpriseModel(events=treated, channel_labels=baseline.channel_labels)

@@ -241,6 +241,29 @@ def test_analyze_mapping_over_budget_fails(tmp_path, scenario_path, capsys):
     assert "exceed budget" in capsys.readouterr().err
 
 
+def test_budget_error_names_the_mapping_file_and_its_budget_line(
+    tmp_path, scenario_path, capsys
+):
+    data = tmp_path / "data"
+    run(["generate", "--config", scenario_path, "--output-dir", data])
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text(
+        "# cost: 1.1 = 15\n"
+        "\n"
+        "# budget: 10\n"
+        "competency_id,channel_label,flag\n"
+        "1.1,logging.1,1\n"
+    )
+    code = run(
+        ["analyze", "--events", data / "events_treated.csv", "--mapping", mapping,
+         "--window", "5", "--output-dir", tmp_path / "out"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {mapping}:3: competency costs 15 exceed budget 10\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_events_file_is_an_error(tmp_path, capsys):
     code = run(["analyze", "--events", tmp_path / "nope.csv", "--output-dir", tmp_path / "o"])
     assert code == 1

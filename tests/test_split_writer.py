@@ -3,7 +3,9 @@
 The serial loop is the reference. With the cell threshold lowered to 1,
 every writer must give its bytes, also when the child fails and when
 ``os.fork`` is missing or refused, and it must leave no process or file
-behind when this process fails while the child runs.
+behind when this process fails while the child runs. With blocks of a
+few cells, so that block seams fall inside the table, it must give them
+too, split or not.
 """
 
 import os
@@ -104,16 +106,44 @@ def test_the_period_column_counts_toward_the_split(tmp_path, forks):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("block_cells", [1, 2, 7])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_block_seams_inside_the_table_give_the_serial_bytes(
+    tmp_path, monkeypatch, forks, writer, block_cells, split
+):
+    # 20 rows of 1 to 4 cells: a block of 7 cells holds 1 to 7 rows, so seams fall
+    # between rows inside the table and inside each half of a split one.
+    expected = serial_bytes(tmp_path, writer, 20, 3)
+    monkeypatch.setattr(rio, "_WRITE_BLOCK_CELLS", block_cells)
+    if split:
+        monkeypatch.setattr(rio, "_SPLIT_CELLS", 1)
+    blocks = []
+    row_text = rio._row_text
+
+    def counted(periods, columns):
+        for text in row_text(periods, columns):
+            blocks.append(text)
+            yield text
+
+    monkeypatch.setattr(rio, "_row_text", counted)
+    path = write_with(writer, tmp_path / "blocks" / "table.csv", 20, 3)
+    assert len(blocks) > 1  # counted in this process, which formats at least 10 rows
+    assert forks == ([os.getpid()] if split else [])
+    assert path.read_bytes() == expected
+    assert_no_child_left()
+
+
 def fail_in(monkeypatch, process, exc_type, delay=0.0):
     """Make the row formatter raise ``exc_type`` in this process or in the child only."""
     parent = os.getpid()
     row_text = rio._row_text
 
-    def failing(periods, values):
+    def failing(periods, columns):
         if (os.getpid() == parent) == (process == "parent"):
             raise exc_type("formatter failed")
         time.sleep(delay)
-        return row_text(periods, values)
+        return row_text(periods, columns)
 
     monkeypatch.setattr(rio, "_row_text", failing)
 
