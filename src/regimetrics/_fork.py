@@ -1,6 +1,6 @@
 """One forked child beside the caller: the only place the package forks.
 
-Two places hand half of their work to a child: ``io._write_table``
+Two places hand half of their work to a child: ``io._write_values``
 formats the second half of a large table's rows, and
 ``engine.indicator_series`` computes the second half of a long run's
 periods where its kernel can pin OpenBLAS to one thread. Each does that

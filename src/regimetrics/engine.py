@@ -206,7 +206,7 @@ def _one_blas_thread():
 
 
 def _window_kernel(
-    series: MappedSeries, k: int, mode: str, first: int, last: int, signed: bool = False
+    series: MappedSeries, k: int, mode: str, first: int, last: int, signed: bool = False, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indicator rows of periods first..last, or their signed R stack.
 
@@ -215,13 +215,15 @@ def _window_kernel(
     absolute row sums in place. Chunk boundaries depend only on n and k,
     and no period's arithmetic depends on another period, so each row is
     the same bits whatever the series length, and BLAS runs one thread.
-    Returns the (periods, n) indicator rows, or the (periods, n, n) R
-    stack when ``signed``, and the (periods, n) degenerate flags.
+    Returns the (periods, n) indicator rows, written to ``out`` when
+    given, or the (periods, n, n) R stack when ``signed``, and the
+    (periods, n) degenerate flags.
     """
     n, count = series.n, last - first + 1
     rows = series.values[first - k - 1 : last - 1]
     step = _chunk_periods(n, k)
-    out = np.empty((count, n, n) if signed else (count, n))
+    if out is None:
+        out = np.empty((count, n, n) if signed else (count, n))
     degenerate = np.empty((count, n), dtype=bool)
     with _one_blas_thread():
         for start in range(0, count, step):
@@ -400,23 +402,25 @@ def indicator_series(
 def _two_process_kernel(series: MappedSeries, k: int, mode: str, first: int, mid: int, last: int):
     """Indicator rows of periods first..last; a forked child computes those from mid on.
 
-    Where no child starts, or it fails (a check of its rows, say), this
+    Both halves fill one array: this process's rows are written in place,
+    and the child's are read into theirs. Where no child starts, or it
+    fails (a check of its rows, say) or hands back fewer rows, this
     process computes those rows itself after its own, as the serial run
     does, so the first error is the serial one. BLAS stays at one thread
     until ``collect``: a restored count starts a spinning OpenBLAS thread.
     """
+    values = np.empty((last - first + 1, series.n))
+    tail = values[mid - first :]
 
     def second_half(out):
-        out.write(_window_kernel(series, k, mode, mid, last)[0])
+        out.write(_window_kernel(series, k, mode, mid, last, out=tail)[0])
 
     with _one_blas_thread(), forked(second_half) as collect:
-        head, _ = _window_kernel(series, k, mode, first, mid - 1)
+        _window_kernel(series, k, mode, first, mid - 1, out=values[: mid - first])
         out = collect()
-        if out is None:
-            tail, _ = _window_kernel(series, k, mode, mid, last)
-        else:
-            tail = np.frombuffer(out.read()).reshape(last - mid + 1, series.n)
-        return np.concatenate([head, tail])
+        if out is None or out.readinto(tail) != tail.nbytes:
+            _window_kernel(series, k, mode, mid, last, out=tail)
+    return values
 
 
 @dataclass(frozen=True)

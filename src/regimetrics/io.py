@@ -19,21 +19,22 @@ without them. One reader (``_read_table``) and one writer
 * descriptor catalog: ``level,level_name,skill_id,skill_name,request_id,
   request_text`` rows (its own rules live in ``catalog``).
 
-The numeric cells of event, comparison and indicator tables are
-converted in ``_read_numeric``. Data rows made only of the plain alphabet
-(ASCII ``0-9 . e E + -``, comma, space, ``\\n``, and ``\\r`` at a line end)
+A table is read as physical lines: ``\\n``, ``\\r\\n`` and every lone
+``\\r`` end one. The numeric cells of event, comparison and indicator
+tables are converted in ``_read_numeric``. Data rows made only of the
+plain alphabet (ASCII ``0-9 . e E + -``, comma, space and the line ends)
 go through one ``np.loadtxt`` call, numpy's C reader, and the dense ``t``
-rule and finiteness are checked on its arrays. Any other data (an
-embedded ``\\r`` too) and any row, rule or warning that stops that call
-take the one scan in a second open of the file: each cell is converted by
-``int()`` or ``float()``, up to the first bad one, named with its line.
-The accepted syntax and every message are the scan's either way.
+rule and finiteness are checked on its arrays. Any other data and any
+row, rule or warning that stops that call take the one scan in a second
+open of the file: each cell is converted by ``int()`` or ``float()``, up
+to the first bad one, named with its line. The accepted syntax and every
+message are the scan's either way.
 
 The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
 written atomically (write to a temporary file in the same directory,
 then rename) and byte-identical across repeated runs with identical
-inputs. ``_write_table`` formats a numeric table of at least
+inputs. ``_write_values`` formats a numeric table of at least
 ``_SPLIT_CELLS`` (65,536) cells, its period column included, in two
 processes (``_fork.forked``): one forked child formats the second half
 of the rows into an anonymous temporary file, which is appended after
@@ -54,7 +55,6 @@ import os
 import shutil
 import warnings
 from contextlib import contextmanager
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +80,9 @@ TOTAL_COLUMNS = ("total", "v_total")
 _RUN_DIRECTIVES = ("k", "mode")
 # Periods are int64 arrays, so a period outside this range is an error at its line.
 _INT64 = np.iinfo(np.int64)
-# Cells that _write_table holds as Python floats (about 30 bytes each) at once.
+# Cells that _write_values holds as Python floats (about 30 bytes each) at once.
 _WRITE_BLOCK_CELLS = 1 << 13
-# Cells, the period column's included, from which _write_table forks a child for half the
+# Cells, the period column's included, from which _write_values forks a child for half the
 # rows (fork and reap: about 2.4 ms).
 _SPLIT_CELLS = 1 << 16
 
@@ -155,58 +155,54 @@ def is_indicator_output(path) -> bool:
 
 
 @contextmanager
-def _read_table(path, directives=(), first_period=None, repeated=(), closing=()):
-    """Open a delimited table; yield ``(line, header, found, rows, blocks)``.
+def _read_table(path, directives=(), first_period=None, repeated=()):
+    """Open a delimited table; yield ``(line, header, found, rows, batches)``.
 
     ``line`` is the header's physical line and ``found`` the directives
     as ``(line, name, value)``; a name not in ``directives`` is an error,
-    and so is a second directive of a name not in ``repeated``.
-    ``rows`` streams ``(line, t, cells)`` per data row. When the header
-    starts with ``t``, ``t`` must be ``first_period`` (by default the
-    first row's own value) on the first row and go up by 1 on each later
-    row, and ``cells`` are the other fields; otherwise ``t`` is None.
-    ``blocks`` streams the same data as text, in blocks of about
-    ``_PLAIN_BLOCK_CHARS`` characters that end at a line end; both read
-    one handle, so use only one. ``closing`` names the directives that
-    close the table instead: the data ends at the first line that starts
-    with ``#``. ``blocks`` cuts only at the first ``#`` of a block, where
-    it starts the block or follows a ``\\n``; any other ``#`` stays in
-    the text, where no plain number holds it. Once the caller's block
-    ends without an error, the lines from the cut on are read by
-    ``_read_closing`` into ``found``. A byte that is not UTF-8 is an
-    error at its own line, raised when the text around it is first read
-    (in ``blocks``, a UnicodeDecodeError).
+    and so is a second directive of a name not in ``repeated``. The data
+    after the header is one stream of physical lines, each ended by
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``. In an indicator output
+    (``_is_indicator_header``) it ends at the first line that starts with
+    ``#``: from there on the lines are its closing ``# k:`` and ``# mode:``
+    directives, read into ``found`` once the caller's block ends without
+    an error. ``rows`` streams ``(line, t, cells)`` per data row. When the
+    header starts with ``t``, ``t`` must be ``first_period`` (by default
+    the first row's own value) on the first row and go up by 1 on each
+    later row, and ``cells`` are the other fields; otherwise ``t`` is
+    None. ``batches`` streams the same lines in lists of up to
+    ``_PLAIN_BATCH_LINES``; both read one stream, so use only one. A byte
+    that is not UTF-8 is an error at its own line, raised when the text
+    around it is first read.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        lines = _decoded_lines(handle, path)
+    with open(path, newline="", encoding="utf-8") as handle, _named_decode_errors(path):
         found = []
-        for header_line, raw in enumerate(lines, start=1):
-            text = raw.strip()
-            if text.startswith("#"):
-                _add_directive(found, text, path, header_line, directives, repeated)
-            elif text:
-                break
-        else:
+        first = _read_directives(enumerate(handle, 1), path, found, directives, repeated)
+        if first is None:
             raise ParseError("missing header", source=path, line=1)
-        header = None  # set once the header is read: the data lines start after it
-        cut = []  # the line and the text of the closing directives, once met
+        header_line, raw = first
+        header_reader = csv.reader(itertools.chain([raw], handle))
+        header = tuple(field.strip() for field in next(header_reader))
+        first_line = header_line + header_reader.line_num
+        closing = _RUN_DIRECTIVES if _is_indicator_header(header) else ()
+        cut = []  # the line and the text of the first closing directive, once met
 
-        def data_lines():
-            for raw in lines:
-                if closing and header is not None and raw.lstrip().startswith("#"):
-                    cut.extend((header_line + reader.line_num, raw))
+        def cut_lines():
+            for at, raw in enumerate(handle, first_line):
+                if raw.lstrip().startswith("#"):
+                    cut.append((at, raw))
                     return
                 yield raw
 
-        reader = csv.reader(itertools.chain([raw], data_lines()))
-        header = tuple(field.strip() for field in next(reader))
+        data = cut_lines() if closing else handle
 
         def rows():
+            reader = csv.reader(data)
             start = expected = first_period
-            read = reader.line_num
+            read = 0
             for row in reader:
                 # A quoted field may span lines; a record is named by its first.
-                line, read = header_line + read, reader.line_num
+                line, read = first_line + read, reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if not closing and row[0].lstrip().startswith("#"):
@@ -237,57 +233,48 @@ def _read_table(path, directives=(), first_period=None, repeated=(), closing=())
                 expected += 1
                 yield line, t, row[1:]
 
-        def blocks():
-            line = header_line + reader.line_num  # the first data line
-            while block := handle.read(_PLAIN_BLOCK_CHARS):
-                block += handle.readline()
-                data, mark, tail = block.partition("#") if closing else (block, "", "")
-                if mark and data[-1:] in ("", "\n"):
-                    cut.extend((line + data.count("\n"), mark + tail))
-                    yield data
-                    return
-                # A lone \r ends a line too, and the last line of a block may end with one.
-                line += block.count("\n") + block.endswith("\r")
-                yield block
+        def batches():
+            while batch := list(itertools.islice(data, _PLAIN_BATCH_LINES)):
+                yield batch
 
-        yield header_line, header, found, rows(), blocks()
+        yield header_line, header, found, rows(), batches()
         if cut:
-            after = itertools.chain(StringIO(cut[1], newline=""), lines)
-            _read_closing(after, path, cut[0], closing, found)
+            after = itertools.chain(cut, enumerate(handle, cut[0][0] + 1))
+            row = _read_directives(after, path, found, closing)
+            if row is not None:
+                raise ParseError("data row after the closing directives", source=path, line=row[0])
 
 
-def _add_directive(found, text, path, line, names, repeated=()) -> None:
-    """Add the ``# name: value`` line ``text`` to ``found`` as ``(line, name, value)``.
-
-    A name not in ``names`` is an error, and so is a second directive of
-    a name not in ``repeated``.
-    """
-    name, colon, value = (part.strip() for part in text[1:].partition(":"))
-    if not colon or name not in names:
-        raise ParseError(f"unknown directive {text[1:].strip()!r}", source=path, line=line)
-    if name not in repeated and any(name == seen for _, seen, _ in found):
-        raise ParseError(f"duplicate {name} directive", source=path, line=line)
-    found.append((line, name, value))
-
-
-def _read_closing(lines, path, line, names, found) -> None:
-    """Add the closing directives in ``lines``, the first at ``line``, to ``found``.
-
-    Only directives named in ``names`` and blank lines may follow the data.
-    """
-    for at, raw in enumerate(lines, start=line):
-        text = raw.strip()
-        if text and not text.startswith("#"):
-            raise ParseError("data row after the closing directives", source=path, line=at)
-        if text:
-            _add_directive(found, text, path, at, names)
-
-
-def _decoded_lines(handle, path):
+@contextmanager
+def _named_decode_errors(path):
+    """A byte that is not UTF-8 raises the ParseError at its line (``errors.not_utf8``)."""
     try:
-        yield from handle
+        yield
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+
+
+def _read_directives(lines, path, found, names, repeated=()):
+    """Add the ``# name: value`` lines of ``lines`` to ``found`` as ``(line, name, value)``.
+
+    ``lines`` yields ``(line, text)`` pairs. Blank lines are skipped, and
+    the pair of the first other line is returned (None at the end). A
+    name not in ``names`` is an error, and so is a second directive of a
+    name not in ``repeated``.
+    """
+    for at, raw in lines:
+        text = raw.strip()
+        if not text:
+            continue
+        if not text.startswith("#"):
+            return at, raw
+        name, colon, value = (part.strip() for part in text[1:].partition(":"))
+        if not colon or name not in names:
+            raise ParseError(f"unknown directive {text[1:].strip()!r}", source=path, line=at)
+        if name not in repeated and any(name == seen for _, seen, _ in found):
+            raise ParseError(f"duplicate {name} directive", source=path, line=at)
+        found.append((at, name, value))
+    return None
 
 
 def _write_table(path, header, rows=(), directives=(), periods=(), columns=(), closing=()) -> Path:
@@ -401,11 +388,11 @@ def parse_events(path) -> EnterpriseModel:
 # The plain alphabet. Data rows made only of these characters go to np.loadtxt,
 # which reads them exactly as float() and int() do. Outside it the two differ:
 # loadtxt strips U+001C..U+001F around a number and refuses 1_0 or non-ASCII
-# digits, so such data takes the scan. \r is plain at a line end, so CRLF files
-# take loadtxt; loadtxt refuses an embedded \r, which defers to the scan.
+# digits, so such data takes the scan. Every \r ends a line, as \n does, so
+# CRLF and lone-CR files take loadtxt.
 _PLAIN = b"0123456789.eE+-, \n\r"
-# Characters of data text checked against _PLAIN and handed to loadtxt at a time.
-_PLAIN_BLOCK_CHARS = 1 << 16
+# Data lines checked against _PLAIN and handed to loadtxt at a time.
+_PLAIN_BATCH_LINES = 64
 
 
 def _read_numeric(path, check, **table) -> tuple:
@@ -414,17 +401,17 @@ def _read_numeric(path, check, **table) -> tuple:
     ``table`` holds the ``_read_table`` arguments. ``check(line, header,
     found)`` raises the caller's errors in the header and the leading
     directives, in each open before any cell is converted. Plain numeric
-    data (``\\r`` only at a line end) is converted in the first open by
-    one ``np.loadtxt`` call (``_load_plain``). Any refusal, an embedded
-    ``\\r`` among them, leaves that open for the one scan in a second, which
-    converts each cell by ``_parse_float`` up to the first bad one; so both
-    paths give the same arrays or the same error. ``found`` ends with the
-    closing directives, read once the rows are.
+    data, whatever its line ends, is converted in the first open by one
+    ``np.loadtxt`` call (``_load_plain``). Any refusal leaves that open for
+    the one scan in a second, which converts each cell by ``_parse_float``
+    up to the first bad one; so both paths give the same arrays or the
+    same error. ``found`` ends with an indicator output's closing
+    directives, read once the rows are.
     """
     try:
-        with _read_table(path, **table) as (line, header, found, _, blocks):
+        with _read_table(path, **table) as (line, header, found, _, batches):
             check(line, header, found)
-            periods, values = _load_plain(blocks, len(header) - 1, table.get("first_period"))
+            periods, values = _load_plain(batches, len(header) - 1, table.get("first_period"))
         return line, header, found, periods, values
     except (ValueError, Warning):
         pass  # the scan is the reference, so every refusal here defers to it
@@ -441,28 +428,28 @@ def _read_numeric(path, check, **table) -> tuple:
     return line, header, found, periods, values
 
 
-def _load_plain(blocks, width, first_period) -> tuple[np.ndarray, np.ndarray]:
+def _load_plain(batches, width, first_period) -> tuple[np.ndarray, np.ndarray]:
     """Periods and values of plain numeric rows, by one ``np.loadtxt`` call.
 
-    ``blocks`` is ``_read_table``'s stream of data text. ``t`` is read as
+    ``batches`` is ``_read_table``'s stream of data lines. ``t`` is read as
     int64, so it is parsed as ``int()`` would and ``1.0`` is refused. Each
-    block is checked against the plain alphabet as loadtxt takes it, so no
+    batch is checked against the plain alphabet as loadtxt takes it, so no
     second copy of the text is held. Raises ValueError when the text
     leaves the alphabet or breaks the dense ``t`` rule or finiteness;
     loadtxt's own errors, and its warnings (made errors, so that a table
     without data rows raises), propagate.
     """
 
-    def lines():
-        for block in blocks:
-            if not block.isascii() or block.encode("ascii").translate(None, _PLAIN):
-                raise ValueError("not plain numeric data")
-            yield from block.split("\n")
+    def plain(batch):
+        text = "".join(batch)
+        if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+            raise ValueError("not plain numeric data")
+        return batch
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         data = np.loadtxt(
-            lines(),
+            itertools.chain.from_iterable(map(plain, batches)),
             dtype=[("t", np.int64), ("v", float, (width,))],
             delimiter=",",
             comments=None,
@@ -682,7 +669,7 @@ def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarr
             message = "not an indicator output (header must start with 't' and end with a total)"
             raise ParseError(message, source=path, line=line)
 
-    line, _, found, periods, values = _read_numeric(path, check, closing=_RUN_DIRECTIVES)
+    line, _, found, periods, values = _read_numeric(path, check)
     for at, name, value in found:
         if value != stated[name]:
             message = f"indicator output of {name} {value}, not {stated[name]}"

@@ -1,11 +1,10 @@
 """The two converters of numeric tables: numpy's C reader and the one scan.
 
-Plain numeric data rows, CRLF line ends included, go through one
-``np.loadtxt`` call; anything else, an embedded ``\\r`` among it, is read
-again by the cell-by-cell scan, which is the reference. These tests check
-that both give the same arrays or the same error, that each path is
-really taken where it should be, and that a refused file is read at most
-twice.
+Plain numeric data rows, CRLF and lone-CR line ends included, go through
+one ``np.loadtxt`` call; anything else is read again by the cell-by-cell
+scan, which is the reference. These tests check that both give the same
+arrays or the same error, that each path is really taken where it should
+be, and that a refused file is read at most twice.
 """
 
 import re
@@ -348,9 +347,10 @@ def test_writer_outputs_and_bundled_reference_take_the_fast_path(tmp_path):
 
 def test_crlf_copies_take_the_fast_path(tmp_path):
     for path, kind, expected in written_tables(tmp_path):
-        crlf = path.with_name(f"crlf-{path.name}")
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert_read_once(kind, crlf, expected)
+        for name, ending in (("crlf", b"\r\n"), ("cr", b"\r")):
+            copy = path.with_name(f"{name}-{path.name}")
+            copy.write_bytes(path.read_bytes().replace(b"\n", ending))
+            assert_read_once(kind, copy, expected)
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -360,21 +360,17 @@ def test_crlf_copies_take_the_fast_path(tmp_path):
 def test_closing_directives_at_any_block_boundary_read_alike(
     tmp_path, monkeypatch, ending, closing
 ):
-    # Blocks of every size up to the whole text put the first closing line at the start of a
-    # block, inside one, and where the characters read before its line end stop.
+    # Batches of every size up to the whole table put the first closing line at the start of
+    # a batch, inside one, and past the last.
     text = ending.join(["t,v_total", "5,1", "6,2", "7,3", ""]) + closing
     path = tmp_path / "plot.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected = scanned_outcome("indicator", path)
-    opens = set()
-    for chars in range(1, len(text) + 1):
-        monkeypatch.setattr(rio, "_PLAIN_BLOCK_CHARS", chars)
+    for lines in range(1, text.count(ending) + 2):
+        monkeypatch.setattr(rio, "_PLAIN_BATCH_LINES", lines)
         with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
             assert outcome("indicator", path) == expected
-        opens.add(opened.call_count)
-    # numpy's reader refuses a \r inside a block, so with \r line ends only one-line blocks
-    # take it; with the others every block size does.
-    assert opens == ({1, 2} if ending == "\r" else {1})
+        assert opened.call_count == 1  # numpy's reader takes every line end, a lone \r too
 
 
 def test_a_byte_that_is_not_utf8_past_the_first_block_is_an_error_at_its_line(tmp_path):
@@ -382,11 +378,11 @@ def test_a_byte_that_is_not_utf8_past_the_first_block_is_an_error_at_its_line(tm
     rows[15000] = b"15001,\xff\n"
     path = tmp_path / "events.csv"
     path.write_bytes(b"t,a\n" + b"".join(rows))
-    assert sum(map(len, rows[:15000])) > rio._PLAIN_BLOCK_CHARS
+    assert 15000 > rio._PLAIN_BATCH_LINES
     message = f"{path}:15002: not UTF-8 text: byte 0xff (invalid start byte)"
     with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
         assert outcome("events", path) == ("error", "ParseError", message, 15002)
-    assert opened.call_count == 2
+    assert opened.call_count == 1  # the first open names the byte's line
 
 
 def test_header_only_event_file_raises_without_a_warning(tmp_path):
