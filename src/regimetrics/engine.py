@@ -216,21 +216,22 @@ def _window_kernel(
     and no period's arithmetic depends on another period, so each row is
     the same bits whatever the series length, and BLAS runs one thread.
     Returns the (periods, n) indicator rows, written to ``out`` when
-    given, or the (periods, n, n) R stack when ``signed``, and the
-    (periods, n) degenerate flags.
+    given, or the (periods, n, n) R stack when ``signed``, and the number
+    of periods in which each channel's window is degenerate.
     """
     n, count = series.n, last - first + 1
     rows = series.values[first - k - 1 : last - 1]
     step = _chunk_periods(n, k)
     if out is None:
         out = np.empty((count, n, n) if signed else (count, n))
-    degenerate = np.empty((count, n), dtype=bool)
+    degenerate = np.zeros(n, dtype=np.int64)
     with _one_blas_thread():
         for start in range(0, count, step):
             stop = min(start + step, count)
-            out[start:stop], degenerate[start:stop] = _chunk_kernel(
+            out[start:stop], flags = _chunk_kernel(
                 rows[start : stop + k - 1], k, mode, signed, first + start, series.channel_labels
             )
+            degenerate += flags.sum(axis=0)
     return out, degenerate
 
 
@@ -308,7 +309,7 @@ def window_correlation(
     _check_window_bounds(series.t_max, t, k)
     stack, degenerate = _window_kernel(series, k, mode, t, t, signed=True)
     r = np.triu(stack[0]) + np.triu(stack[0], 1).T
-    return CorrelationMatrix(t=t, k=k, r=r, mode=mode, degenerate=degenerate[0])
+    return CorrelationMatrix(t=t, k=k, r=r, mode=mode, degenerate=degenerate > 0)
 
 
 def integral_indicator(corr: CorrelationMatrix) -> np.ndarray:

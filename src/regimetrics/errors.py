@@ -29,13 +29,19 @@ class ParseError(RegimetricsError):
 
 
 def not_utf8(path) -> ParseError:
-    """The ParseError for a file that is not UTF-8 text, at its first bad byte's line."""
+    """The ParseError for a file that is not UTF-8 text, at its first bad byte's line.
+
+    Lines end where the table reader ends them: at ``\\n``, ``\\r\\n`` and
+    every lone ``\\r``.
+    """
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
-        return ParseError(message, source=path, line=data.count(b"\n", 0, exc.start) + 1)
+        ends = [data.count(end, 0, exc.start) for end in (b"\n", b"\r", b"\r\n")]
+        # Each \r\n was counted once as \n and once as \r.
+        return ParseError(message, source=path, line=ends[0] + ends[1] - ends[2] + 1)
     return ParseError("not UTF-8 text", source=path)
 
 

@@ -374,15 +374,21 @@ def test_closing_directives_at_any_block_boundary_read_alike(
 
 
 def test_a_byte_that_is_not_utf8_past_the_first_block_is_an_error_at_its_line(tmp_path):
-    rows = [f"{t},{t}.5\n".encode() for t in range(1, 20001)]
-    rows[15000] = b"15001,\xff\n"
-    path = tmp_path / "events.csv"
-    path.write_bytes(b"t,a\n" + b"".join(rows))
     assert 15000 > rio._PLAIN_BATCH_LINES
-    message = f"{path}:15002: not UTF-8 text: byte 0xff (invalid start byte)"
-    with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
-        assert outcome("events", path) == ("error", "ParseError", message, 15002)
-    assert opened.call_count == 1  # the first open names the byte's line
+    # The byte's line is counted as the reader ends lines, so a bad cell in its place
+    # is named at the same line.
+    for end in (b"\n", b"\r\n", b"\r"):
+        rows = [f"{t},{t}.5".encode() + end for t in range(1, 20001)]
+        path = tmp_path / "events.csv"
+        rows[15000] = b"15001,x" + end
+        path.write_bytes(b"t,a" + end + b"".join(rows))
+        assert outcome("events", path)[3] == 15002
+        rows[15000] = b"15001,\xff" + end
+        path.write_bytes(b"t,a" + end + b"".join(rows))
+        message = f"{path}:15002: not UTF-8 text: byte 0xff (invalid start byte)"
+        with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
+            assert outcome("events", path) == ("error", "ParseError", message, 15002), end
+        assert opened.call_count == 1  # the first open names the byte's line
 
 
 def test_header_only_event_file_raises_without_a_warning(tmp_path):

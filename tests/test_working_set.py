@@ -5,7 +5,8 @@ its data, and copies anything else. The package freezes the arrays it
 makes, so the event matrix, its masked version and the indicator rows are
 each held once, and ``analyze`` drops the unmasked events before the
 kernel starts. A kernel split across two processes fills one array of
-indicator rows.
+indicator rows. Beyond its arrays, the kernel holds one chunk and a
+table write one block of cells.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ import regimetrics.engine as engine
 from regimetrics import (
     CompetencyMapping,
     EnterpriseModel,
+    IndicatorSeries,
     MappedSeries,
     apply_mapping,
     indicator_series,
@@ -25,6 +27,7 @@ from regimetrics import (
     write_events,
 )
 from regimetrics.cli import main
+from regimetrics.io import write_indicator_table
 from regimetrics.model import _frozen_array
 from regimetrics.synth import ProcessConfig, ScenarioConfig
 
@@ -32,6 +35,17 @@ from regimetrics.synth import ProcessConfig, ScenarioConfig
 def frozen(array):
     array.setflags(write=False)
     return array
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def test_a_frozen_owner_is_shared():
@@ -115,18 +129,48 @@ def test_standardized_analyze_peaks_at_about_three_series(tmp_path, capsys):
     argv = ["analyze", "--events", str(tmp_path / "events.csv"),
             "--mapping", str(tmp_path / "mapping.csv"), "--mode", "standardized",
             "--output-dir", str(tmp_path / "out")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert "masked channels: c6, c7" in capsys.readouterr().out
     # The series and the indicator rows (one series each) plus a kernel chunk's
-    # temporaries (under 2 MB, about 0.6 series here), or the parse's structured rows.
-    # Holding the unmasked events, the masked ones and copies of both beside the rows
-    # took this to 5.9 series.
-    assert peak / (t * n * 8) < 3.5
+    # temporaries (under 2 MB, about 0.6 series here): 2.66 to 2.70 series, with a
+    # margin of 0.1. Holding the unmasked events, the masked ones and copies of both
+    # beside the rows took this to 5.9 series, and the kernel's (periods, n) degenerate
+    # flags to 2.78 to 2.83.
+    assert peak / (t * n * 8) < 2.8
+
+
+@pytest.mark.parametrize("t", [50_000, 200_000])
+def test_writing_an_indicator_table_holds_one_block_beyond_its_arrays(tmp_path, t):
+    # The table of the long case, 8 channels and a total, and one four times as long.
+    n = 8
+    values = frozen(np.random.default_rng(5).random((t, n)))
+    indicators = IndicatorSeries(
+        periods=np.arange(13, 13 + t), values=values, k=12, mode="raw",
+        channel_labels=[f"c{j}" for j in range(n)],
+    )
+    _, peak = traced_peak(lambda: write_indicator_table(indicators, tmp_path / "indicators.csv"))
+    # Beyond the totals column, one block of _WRITE_BLOCK_CELLS cells as Python floats
+    # and text, and the writer's buffers: about 0.29 MB at either length, whatever the
+    # rows. Blocks of 8,192 cells took it to 0.86 MB.
+    assert peak - t * 8 < 1 << 19
+
+
+def test_the_kernel_holds_its_rows_and_one_chunk():
+    # The long case's standardized run: 50,000 periods of 8 channels, window 12.
+    t, n, k = 50_000, 8, 12
+    labels = [f"c{j}" for j in range(n)]
+    series = MappedSeries(frozen(np.random.default_rng(17).normal(100.0, 10.0, (t, n))), labels)
+    # The first run looks up the BLAS thread functions; the traced ones do not.
+    indicator_series(MappedSeries(series.values[:100].copy(), labels), k, "standardized")
+    step = engine._chunk_periods(n, k)
+    rows = series.values[: step + k - 1]
+    _, chunk = traced_peak(lambda: engine._chunk_kernel(rows, k, "standardized", False, k + 1, labels))
+    indicators, peak = traced_peak(lambda: indicator_series(series, k, "standardized"))
+    # The rows and one chunk's temporaries, and under a quarter of the smallest other
+    # (periods, n) array, a bool one: 17 kB here. The kernel's per-period degenerate
+    # flags took 409 kB.
+    assert peak - indicators.values.nbytes - chunk < t * n // 4
 
 
 @pytest.mark.parametrize("mode", ["raw", "standardized"])
@@ -146,13 +190,9 @@ def test_a_split_kernel_holds_its_rows_once(tmp_path, mode):
             "--mapping", str(tmp_path / "mapping.csv"), "--mode", mode,
             "--output-dir", str(tmp_path / "out")]
     split = mock.patch.object(engine, "_two_process_kernel", wraps=engine._two_process_kernel)
-    tracemalloc.start()
-    try:
-        with split as two_process_kernel:
-            assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with split as two_process_kernel:
+        code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert two_process_kernel.call_count == 1
     # The series and the rows (a series each) and the parse's or a chunk's temporaries:
     # about 2.4 series in raw mode and 2.6 standardized. Two halves of the rows, the
