@@ -58,31 +58,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--config", type=Path, required=True, help="scenario JSON file")
     p_generate.add_argument("--output-dir", type=Path, required=True)
 
-    p_analyze = sub.add_parser("analyze", help="compute indicator series for an event file")
-    p_analyze.add_argument("--events", type=Path, required=True)
-    p_analyze.add_argument(
-        "--mapping", type=Path, help="competency mapping file (default: all channels active)"
-    )
-    p_analyze.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window length k")
-    p_analyze.add_argument("--mode", choices=MODES, default=RAW)
-    p_analyze.add_argument("--seed", type=int, help="provenance stamp for the metadata record")
-    p_analyze.add_argument(
+    # The options of an analysis run, which analyze and compare share.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window length k")
+    run.add_argument("--mode", choices=MODES, default=RAW)
+    run.add_argument("--seed", type=int, help="provenance stamp for the metadata record")
+    run.add_argument(
         "--pad-warmup",
         action="store_true",
         help="emit zero rows for the warm-up periods 1..k in plot data",
     )
-    p_analyze.add_argument("--output-dir", type=Path, required=True)
+    run.add_argument("--output-dir", type=Path, required=True)
+
+    p_analyze = sub.add_parser(
+        "analyze", parents=[run], help="compute indicator series for an event file"
+    )
+    p_analyze.add_argument("--events", type=Path, required=True)
+    p_analyze.add_argument(
+        "--mapping", type=Path, help="competency mapping file (default: all channels active)"
+    )
 
     p_compare = sub.add_parser(
-        "compare", help="compare two regimes (event files or indicator outputs)"
+        "compare", parents=[run], help="compare two regimes (event files or indicator outputs)"
     )
     p_compare.add_argument("--basic", type=Path, required=True)
     p_compare.add_argument("--treated", type=Path, required=True)
-    p_compare.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p_compare.add_argument("--mode", choices=MODES, default=RAW)
-    p_compare.add_argument("--seed", type=int, help="provenance stamp for the metadata record")
-    p_compare.add_argument("--pad-warmup", action="store_true")
-    p_compare.add_argument("--output-dir", type=Path, required=True)
 
     p_verify = sub.add_parser(
         "verify-reference",
@@ -116,7 +116,6 @@ def _cmd_catalog(args) -> int:
 def _cmd_generate(args) -> int:
     config = parse_scenario(args.config)
     baseline, treated = paired_scenarios(config)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
     for name, model in (("events_baseline.csv", baseline), ("events_treated.csv", treated)):
         path = write_events(model, args.output_dir / name)
         print(f"wrote {path}")
@@ -124,20 +123,30 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # The series is the one reference to the events left when the kernel starts, and
-    # none is left when the report is written.
-    indicators = indicator_series(_analyzed_series(args), args.window, args.mode)
+    indicators = _indicators(args.events, args.window, args.mode, args.mapping)
     _emit(args, indicators=indicators)
     print(f"total indicator: {indicators.total!r}")
     return 0
 
 
-def _analyzed_series(args) -> MappedSeries:
-    """The events of ``args.events``, masked by ``args.mapping`` when one is given."""
-    model = parse_events(args.events)
-    if not args.mapping:
+def _indicators(events: Path, k: int, mode: str, mapping_file: Path | None = None):
+    """Indicator series of the event file ``events``; a window error names the file.
+
+    The series is the one reference to the events while the kernel runs. Layer
+    calls are looked up on this module, so a wrapper set here sees each.
+    """
+    try:
+        return indicator_series(_series(events, mapping_file), k, mode)
+    except InsufficientHistoryError as exc:
+        raise InsufficientHistoryError(f"{events}: {exc}") from None
+
+
+def _series(events: Path, mapping_file: Path | None) -> MappedSeries:
+    """The events of ``events``, masked by the mapping in ``mapping_file`` when one is given."""
+    model = parse_events(events)
+    if not mapping_file:
         return MappedSeries.from_model(model)
-    mapping = parse_mapping(args.mapping, model.channel_labels, catalog=default_catalog())
+    mapping = parse_mapping(mapping_file, model.channel_labels, catalog=default_catalog())
     report = check_budget(mapping)
     print(
         f"budget: {report.total_cost:g} of {report.budget:g} used "
@@ -151,22 +160,15 @@ def _analyzed_series(args) -> MappedSeries:
 
 
 def _emit(args, **result) -> None:
-    # emit_report is looked up on this module, like parse_events below.
     options = dict(seed=args.seed, pad_warmup=args.pad_warmup)
     for path in emit_report(args.output_dir, args.window, args.mode, **options, **result):
         print(f"wrote {path}")
 
 
 def _regime_column(path: Path, k: int, mode: str):
-    # parse_events is looked up on this module, so a wrapper set here (as the
-    # benchmark's traced run sets one) sees every event-file parse.
     if is_indicator_output(path):
         return read_indicator_column(path, k, mode)
-    model = parse_events(path)
-    try:
-        indicators = indicator_series(MappedSeries.from_model(model), k, mode)
-    except InsufficientHistoryError as exc:
-        raise InsufficientHistoryError(f"{path}: {exc}") from None
+    indicators = _indicators(path, k, mode)
     return indicators.periods, indicators.per_period_totals()
 
 

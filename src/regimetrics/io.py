@@ -6,7 +6,7 @@ the header, blank lines skipped; a leading ``t`` column runs densely by
 1. An indicator output's directives close the table instead, after its
 last row, so its first data row stays on line 2 as in outputs written
 without them. One reader (``_read_table``) and one writer
-(``_write_table``) serve:
+(``_write_table``), both placing directives by the header's kind, serve:
 
 * event series: header ``t,<label1>,...,<labeln>``, periods from 1;
 * mapping: ``# budget:`` / ``# cost:`` directives followed by sparse
@@ -177,81 +177,77 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
     that is not UTF-8 is an error at its own line, raised when the text
     around it is first read.
     """
-    with open(path, newline="", encoding="utf-8") as handle, _named_decode_errors(path):
-        found = []
-        first = _read_directives(enumerate(handle, 1), path, found, directives, repeated)
-        if first is None:
-            raise ParseError("missing header", source=path, line=1)
-        header_line, raw = first
-        header_reader = csv.reader(itertools.chain([raw], handle))
-        header = tuple(field.strip() for field in next(header_reader))
-        first_line = header_line + header_reader.line_num
-        closing = _RUN_DIRECTIVES if _is_indicator_header(header) else ()
-        cut = []  # the line and the text of the first closing directive, once met
-
-        def cut_lines():
-            for at, raw in enumerate(handle, first_line):
-                if raw.lstrip().startswith("#"):
-                    cut.append((at, raw))
-                    return
-                yield raw
-
-        data = cut_lines() if closing else handle
-
-        def rows():
-            reader = csv.reader(data)
-            start = expected = first_period
-            read = 0
-            for row in reader:
-                # A quoted field may span lines; a record is named by its first.
-                line, read = first_line + read, reader.line_num
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if not closing and row[0].lstrip().startswith("#"):
-                    raise ParseError("directives must precede the header", source=path, line=line)
-                if len(row) != len(header):
-                    message = f"expected {len(header)} fields, got {len(row)}"
-                    raise ParseError(message, source=path, line=line)
-                if header[0] != EVENT_PERIOD_COLUMN:
-                    yield line, None, row
-                    continue
-                try:
-                    t = int(row[0])
-                except ValueError:
-                    message = f"column 't': {row[0]!r} is not an integer"
-                    raise ParseError(message, source=path, line=line)
-                if expected is None:
-                    start = expected = t
-                if t > expected:
-                    raise ParseError(f"missing period {expected}", source=path, line=line)
-                if t < expected:
-                    if t >= start:
-                        raise ParseError(f"duplicate period {t}", source=path, line=line)
-                    message = f"period {t} precedes the first period {start}"
-                    raise ParseError(message, source=path, line=line)
-                if not _INT64.min <= t <= _INT64.max:
-                    message = f"period {t} is outside the int64 range"
-                    raise ParseError(message, source=path, line=line)
-                expected += 1
-                yield line, t, row[1:]
-
-        def batches():
-            while batch := list(itertools.islice(data, _PLAIN_BATCH_LINES)):
-                yield batch
-
-        yield header_line, header, found, rows(), batches()
-        if cut:
-            after = itertools.chain(cut, enumerate(handle, cut[0][0] + 1))
-            row = _read_directives(after, path, found, closing)
-            if row is not None:
-                raise ParseError("data row after the closing directives", source=path, line=row[0])
-
-
-@contextmanager
-def _named_decode_errors(path):
-    """A byte that is not UTF-8 raises the ParseError at its line (``errors.not_utf8``)."""
     try:
-        yield
+        with open(path, newline="", encoding="utf-8") as handle:
+            found = []
+            first = _read_directives(enumerate(handle, 1), path, found, directives, repeated)
+            if first is None:
+                raise ParseError("missing header", source=path, line=1)
+            header_line, raw = first
+            header_reader = csv.reader(itertools.chain([raw], handle))
+            header = tuple(field.strip() for field in next(header_reader))
+            first_line = header_line + header_reader.line_num
+            closing = _RUN_DIRECTIVES if _is_indicator_header(header) else ()
+            cut = []  # the line and the text of the first closing directive, once met
+
+            def cut_lines():
+                for at, raw in enumerate(handle, first_line):
+                    if raw.lstrip().startswith("#"):
+                        cut.append((at, raw))
+                        return
+                    yield raw
+
+            data = cut_lines() if closing else handle
+
+            def rows():
+                reader = csv.reader(data)
+                start = expected = first_period
+                read = 0
+                for row in reader:
+                    # A quoted field may span lines; a record is named by its first.
+                    line, read = first_line + read, reader.line_num
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if not closing and row[0].lstrip().startswith("#"):
+                        message = "directives must precede the header"
+                        raise ParseError(message, source=path, line=line)
+                    if len(row) != len(header):
+                        message = f"expected {len(header)} fields, got {len(row)}"
+                        raise ParseError(message, source=path, line=line)
+                    if header[0] != EVENT_PERIOD_COLUMN:
+                        yield line, None, row
+                        continue
+                    try:
+                        t = int(row[0])
+                    except ValueError:
+                        message = f"column 't': {row[0]!r} is not an integer"
+                        raise ParseError(message, source=path, line=line)
+                    if expected is None:
+                        start = expected = t
+                    if t > expected:
+                        raise ParseError(f"missing period {expected}", source=path, line=line)
+                    if t < expected:
+                        if t >= start:
+                            raise ParseError(f"duplicate period {t}", source=path, line=line)
+                        message = f"period {t} precedes the first period {start}"
+                        raise ParseError(message, source=path, line=line)
+                    if not _INT64.min <= t <= _INT64.max:
+                        message = f"period {t} is outside the int64 range"
+                        raise ParseError(message, source=path, line=line)
+                    expected += 1
+                    yield line, t, row[1:]
+
+            def batches():
+                while batch := list(itertools.islice(data, _PLAIN_BATCH_LINES)):
+                    yield batch
+
+            yield header_line, header, found, rows(), batches()
+            if cut:
+                after = itertools.chain(cut, enumerate(handle, cut[0][0] + 1))
+                row = _read_directives(after, path, found, closing)
+                if row is not None:
+                    message = "data row after the closing directives"
+                    raise ParseError(message, source=path, line=row[0])
     except UnicodeDecodeError:
         raise not_utf8(path) from None
 
@@ -279,21 +275,23 @@ def _read_directives(lines, path, found, names, repeated=()):
     return None
 
 
-def _write_table(path, header, rows=(), directives=(), periods=(), columns=(), closing=()) -> Path:
-    """Write ``# name: value`` directives, a header, rows and closing directives atomically.
+def _write_table(path, header, rows=(), directives=(), periods=(), columns=()) -> Path:
+    """Write ``# name: value`` directives, a header and rows atomically.
 
     The header and ``rows`` go through ``csv``, which quotes labels as
-    needed. ``columns`` are float arrays written after them (see
-    ``_write_values``), and the ``closing`` directives come last.
+    needed, and float ``columns`` after them (see ``_write_values``). The
+    directives go first, or last in an indicator output (``_is_indicator_header``).
     """
+    lines = [f"# {name}: {value}\n" for name, value in directives]
+    leading, closing = ([], lines) if _is_indicator_header(header) else (lines, [])
     with _atomic_open(path) as handle:
-        handle.writelines(f"# {name}: {value}\n" for name, value in directives)
+        handle.writelines(leading)
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         if columns:
             _write_values(handle, Path(path).parent, periods, columns)
-        handle.writelines(f"# {name}: {value}\n" for name, value in closing)
+        handle.writelines(closing)
     return Path(path)
 
 
@@ -349,12 +347,26 @@ def _row_text(periods, columns):
 # --- event series ----------------------------------------------------------
 
 
-def write_events(model: EnterpriseModel, path) -> Path:
-    """Write an event-series file; refuses labels that parse_events rejects."""
-    header = (EVENT_PERIOD_COLUMN, *model.channel_labels)
+def _event_header_problem(header) -> str | None:
+    """What is wrong with an event series' ``header``, or None: parse_events' rule."""
+    labels = header[1:]
+    if header[0] != EVENT_PERIOD_COLUMN:
+        return f"first header column must be {EVENT_PERIOD_COLUMN!r}"
+    if not labels:
+        return "at least one channel column is required"
+    if len(set(labels)) != len(labels):
+        return "channel labels must be unique"
     if _is_indicator_header(header):
-        message = f"last channel label {header[-1]!r} is reserved for indicator outputs"
-        raise ValidationError(message)
+        return f"header of an indicator output: last label {labels[-1]!r} is reserved"
+    return None
+
+
+def write_events(model: EnterpriseModel, path) -> Path:
+    """Write an event-series file; its header must pass parse_events' rule, fields stripped."""
+    header = (EVENT_PERIOD_COLUMN, *model.channel_labels)
+    problem = _event_header_problem(tuple(field.strip() for field in header))
+    if problem:
+        raise ValidationError(f"{path}: {problem}")
     periods = np.arange(1, model.t_max + 1)
     return _write_table(path, header, periods=periods, columns=[model.events])
 
@@ -367,17 +379,7 @@ def parse_events(path) -> EnterpriseModel:
     """
 
     def check(line, header, _):
-        labels = header[1:]
-        if header[0] != EVENT_PERIOD_COLUMN:
-            problem = f"first header column must be {EVENT_PERIOD_COLUMN!r}"
-        elif not labels:
-            problem = "at least one channel column is required"
-        elif len(set(labels)) != len(labels):
-            problem = "channel labels must be unique"
-        elif _is_indicator_header(header):
-            problem = f"header of an indicator output: last label {labels[-1]!r} is reserved"
-        else:
-            problem = None
+        problem = _event_header_problem(header)
         if problem:
             raise ParseError(problem, source=path, line=line)
 
@@ -652,7 +654,7 @@ def _write_indicator_table(path, indicators: IndicatorSeries, totals) -> Path:
     header = (EVENT_PERIOD_COLUMN, *indicators.channel_labels, "total")
     run = zip(_RUN_DIRECTIVES, (indicators.k, indicators.mode))
     columns = (indicators.values, totals)
-    return _write_table(path, header, periods=indicators.periods, columns=columns, closing=run)
+    return _write_table(path, header, directives=run, periods=indicators.periods, columns=columns)
 
 
 def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +700,7 @@ def read_indicator_column(path, k: int, mode: str) -> tuple[np.ndarray, np.ndarr
 
 def write_plot_data(path, periods, aggregates, k: int, mode: str) -> Path:
     run = zip(_RUN_DIRECTIVES, (k, mode))
-    return _write_table(path, PLOT_HEADER, periods=periods, columns=[aggregates], closing=run)
+    return _write_table(path, PLOT_HEADER, directives=run, periods=periods, columns=[aggregates])
 
 
 # --- analysis reports ------------------------------------------------------
@@ -734,7 +736,6 @@ def emit_report(
         message = f"periods {periods[0]}..{periods[-1]} are not {k + 1}, {k + 2}, ... in a row"
         raise ValidationError(f"{message}, as window {k} gives")
     destination = Path(destination)
-    destination.mkdir(parents=True, exist_ok=True)
     if comparison is not None:
         totals = (comparison.basic_total, comparison.treated_total, comparison.delta_total)
         table = write_comparison_table(destination / "comparison.csv", comparison, totals)

@@ -142,10 +142,6 @@ class CompetencyMapping:
         object.__setattr__(self, "budget", budget)
 
     @property
-    def m(self) -> int:
-        return self.flags.shape[0]
-
-    @property
     def n(self) -> int:
         return self.flags.shape[1]
 

@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from regimetrics import (
+    DescriptorCatalog,
     ParseError,
     ValidationError,
     default_catalog,
@@ -110,6 +111,20 @@ def test_empty_document_rejected(tmp_path):
     with pytest.raises(ParseError, match="missing header") as excinfo:
         load_catalog(path)
     assert excinfo.value.line == 1
+
+
+def test_document_of_another_header_rejected(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text("level,name\n1,Bachelor\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_catalog(path)
+    assert str(excinfo.value) == f"{path}:1: header must be {','.join(HEADER)}"
+
+
+def test_catalog_of_a_repeated_skill_id_rejected():
+    entries = default_catalog().entries
+    with pytest.raises(ValidationError, match="duplicate skill_id '1.1' in catalog"):
+        DescriptorCatalog(entries[:-1] + entries[:1])
 
 
 def test_header_only_document_rejected(document):

@@ -460,6 +460,20 @@ def test_generate_rejects_scenario_values_of_the_wrong_type(
     assert not (tmp_path / "out").exists()
 
 
+def test_generate_refuses_labels_that_analyze_would_refuse(tmp_path, capsys):
+    # "river-delivery.1" becomes " logging.1", which reads back as a second "logging.1".
+    document = json.loads(json.dumps(SCENARIO))
+    document["processes"][1]["name"] = " logging"
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert run(["generate", "--config", config, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'events_baseline.csv'}: channel labels must be unique\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "directives, rows, line, message",
     [
@@ -523,6 +537,16 @@ def test_compare_names_both_files_when_period_ranges_differ(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {six} vs {five}: regimes cover different period ranges: "
         "basic 3..6, treated 3..5\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_window_error_names_the_events_file(tmp_path, capsys):
+    short = write_plot(tmp_path / "short.csv", ["t,a,b", "1,1.0,2.0", "2,3.0,1.0", "3,2.0,2.0"])
+    code = run(["analyze", "--events", short, "--output-dir", tmp_path / "out"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {short}: period 3 has only 2 preceding periods, window needs 12\n"
     )
     assert not (tmp_path / "out").exists()
 

@@ -3,9 +3,11 @@ import pytest
 
 from regimetrics import (
     CorrelationMatrix,
+    IndicatorSeries,
     InsufficientHistoryError,
     MappedSeries,
     RAW,
+    RegimeComparison,
     STANDARDIZED,
     ValidationError,
     compare_regimes,
@@ -128,6 +130,24 @@ def test_correlation_matrix_rejects_asymmetric_input():
         CorrelationMatrix(t=3, k=2, r=np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "r, options, message",
+    [
+        # The kernel's chunk check is the one place that bounds standardized coefficients.
+        ([[1.0, 1.5], [1.5, 1.0]], {"mode": STANDARDIZED},
+         "period 3: standardized coefficients must lie within [-1, 1] (channels 0, 1)"),
+        (np.ones((2, 3)), {}, "r must be square, got shape (2, 3)"),
+        ([[1.0, np.inf], [np.inf, 1.0]], {}, "r must contain only finite values"),
+        (np.eye(2), {"degenerate": [False]}, "degenerate flags must match the channel count"),
+    ],
+    ids=["standardized-bound", "not-square", "not-finite", "flag-count"],
+)
+def test_correlation_matrix_refusals(r, options, message):
+    with pytest.raises(ValidationError) as excinfo:
+        CorrelationMatrix(t=3, k=2, r=np.asarray(r, dtype=float), **options)
+    assert str(excinfo.value) == message
+
+
 # --- integral indicators ----------------------------------------------------
 
 
@@ -219,6 +239,31 @@ def test_compare_total_delta_of_printed_totals():
 def test_compare_rejects_mismatched_periods():
     with pytest.raises(ValidationError, match="period"):
         compare_regimes(([1, 2], [0.0, 0.0]), ([1, 3], [0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IndicatorSeries([4, 5], [[1.0]], 3, RAW, ("a",)),
+         "one value row per period required"),
+        (lambda: IndicatorSeries([4, 4], [[1.0], [2.0]], 3, RAW, ("a",)),
+         "periods must be strictly increasing"),
+        (lambda: IndicatorSeries([4], [[-1.0]], 3, RAW, ("a",)),
+         "indicator components must be non-negative"),
+        (lambda: IndicatorSeries([4], [[1.0]], 3, RAW, ("a", "b")),
+         "one channel label per column required"),
+        (lambda: RegimeComparison([1, 2], [1.0], [1.0, 2.0], [0.0, 1.0]),
+         "all comparison columns must have the same length"),
+        (lambda: compare_regimes(([1, 2], [1.0]), ([1, 2], [1.0, 2.0])),
+         "a regime column is (periods, values) of equal length"),
+    ],
+    ids=["row-count", "periods-not-increasing", "negative", "label-count",
+         "comparison-column-length", "regime-column-length"],
+)
+def test_result_types_refuse_inconsistent_columns(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_compare_accepts_indicator_series(make_series):

@@ -1,15 +1,19 @@
 """Every refused input says where: a property over byte-level mutations of valid files.
 
 A small event file, the ``indicators.csv`` and ``plot.csv`` that ``analyze``
-writes for it, and a mapping are mutated by inserting, deleting and
-substituting bytes: the plain numeric alphabet, and ``#``, ``\\r``, quotes,
-NUL, a byte that is not UTF-8, ``nan``, ``1e400`` and a directive line.
-``analyze`` or ``compare`` then runs in process on the mutated file. It
-must exit 0 or 1 with nothing escaping ``main``; on 1 its one stderr line
-names the file (and the line, where there is one) or a period and its
-channels, and no output directory is left.
+writes for it, a mapping, a scenario and the ``comparison.csv`` that
+``compare`` writes are mutated by inserting, deleting and substituting
+bytes: the plain numeric alphabet, and ``#``, ``\\r``, quotes, NUL, a byte
+that is not UTF-8, ``nan``, ``1e400`` and a directive line. The command
+that reads the mutated file (``analyze``, ``compare``, ``generate`` or
+``verify-reference --file``) then runs in process. It must exit 0 or 1
+with nothing escaping ``main``; on 1 its one stderr line names an input
+or a file the command writes (and the line, where there is one) or a
+period and its channels, and no output directory is left. An audit that
+fails says so on stdout, with a ``[FAIL]`` line and nothing on stderr.
 """
 
+import json
 import re
 import shutil
 
@@ -42,7 +46,15 @@ COMMANDS = {
     "mapping": ["analyze"],
     "indicators": ["compare"],
     "plot": ["compare"],
+    "scenario": ["generate"],
+    "comparison": ["verify-reference"],
 }
+SCENARIO = {
+    "seed": 3, "periods": 12, "intervention_period": 6,
+    "processes": [{"name": "a", "channels": 2, "base_level": 100.0, "amplitude": 10.0,
+                   "period_length": 4, "noise_scale": 2.0}],
+}
+WRITTEN_BY_GENERATE = ("events_baseline.csv", "events_treated.csv")
 TARGETS = st.sampled_from(sorted(COMMANDS)).flatmap(
     lambda target: st.tuples(st.just(target), st.sampled_from(COMMANDS[target]))
 )
@@ -62,7 +74,7 @@ def mutated(data, mutations):
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """The valid inputs, by name: an event series, its analyze outputs and a mapping."""
+    """The valid inputs, by name: the files that the commands of the property read."""
     directory = tmp_path_factory.mktemp("valid")
     values = np.random.default_rng(5).normal(100.0, 10.0, size=(12, 3))
     events = directory / "events.csv"
@@ -74,11 +86,20 @@ def valid(tmp_path_factory):
     analyzed = directory / "analyzed"
     argv = ["analyze", "--events", events, "--window", K, "--output-dir", analyzed]
     assert main([str(arg) for arg in argv]) == 0
+    scenario = directory / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    generated, compared = directory / "generated", directory / "compared"
+    assert main(["generate", "--config", str(scenario), "--output-dir", str(generated)]) == 0
+    basic, treated = (generated / name for name in WRITTEN_BY_GENERATE)
+    argv = ["compare", "--basic", basic, "--treated", treated, "--window", K]
+    assert main([str(arg) for arg in [*argv, "--output-dir", compared]]) == 0
     return {
         "events": events,
         "mapping": mapping,
         "indicators": analyzed / "indicators.csv",
         "plot": analyzed / "plot.csv",
+        "scenario": scenario,
+        "comparison": compared / "comparison.csv",
     }
 
 
@@ -99,6 +120,8 @@ def says_where(stderr, paths):
 @given(target=TARGETS, mutations=MUTATIONS)
 # The budget case: costs of 10 against a budget of 1 name the mapping's '# budget:' line.
 @example(target=("mapping", "analyze"), mutations=[("delete", 11, 2)])
+# The event file cut after its first K rows (byte 180), too short for window K.
+@example(target=("events", "analyze"), mutations=[("delete", 180, 10_000)])
 def test_a_mutated_input_exits_0_or_1_and_a_refusal_says_where(
     tmp_path, capsys, valid, target, mutations
 ):
@@ -107,10 +130,16 @@ def test_a_mutated_input_exits_0_or_1_and_a_refusal_says_where(
     path.write_bytes(mutated(valid[name].read_bytes(), mutations))
     inputs = {**valid, name: path}
     out = tmp_path / "out"
+    named = [path, *valid.values()]
     if command == "analyze":
         argv = ["analyze", "--events", inputs["events"], "--window", K, "--output-dir", out]
         if name == "mapping":
             argv += ["--mapping", inputs["mapping"]]
+    elif command == "generate":
+        argv = ["generate", "--config", path, "--output-dir", out]
+        named += [out / written for written in WRITTEN_BY_GENERATE]
+    elif command == "verify-reference":
+        argv = ["verify-reference", "--file", path]
     elif name == "events":
         argv = ["compare", "--basic", path, "--treated", valid["events"]]
         argv += ["--window", K, "--output-dir", out]
@@ -119,10 +148,10 @@ def test_a_mutated_input_exits_0_or_1_and_a_refusal_says_where(
         argv += ["--window", K, "--output-dir", out]
     capsys.readouterr()
     code = main([str(arg) for arg in argv])
-    stderr = capsys.readouterr().err
+    stdout, stderr = capsys.readouterr()
     assert code in (0, 1)
-    if code == 1:
-        assert says_where(stderr, [path, *valid.values()]), stderr
+    if code == 1 and not (command == "verify-reference" and not stderr and "[FAIL]" in stdout):
+        assert says_where(stderr, named), stderr
         assert not out.exists()
     shutil.rmtree(out, ignore_errors=True)
 

@@ -131,6 +131,30 @@ def test_duplicate_channel_labels_rejected(tmp_path):
         parse_events(path)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((), "at least one channel column is required"),
+        (("a", " a"), "channel labels must be unique"),
+        (("a", "total "), "header of an indicator output: last label 'total' is reserved"),
+    ],
+    ids=["no-channel", "spaced-duplicate", "spaced-total"],
+)
+def test_reader_and_writer_share_the_event_header_rule(tmp_path, labels, message):
+    lines = [",".join(["t", *labels]), "1" + ",1.0" * len(labels)]
+    path = write_lines(tmp_path / "events.csv", lines)
+    with pytest.raises(ParseError) as excinfo:
+        parse_events(path)
+    assert str(excinfo.value) == f"{path}:1: {message}"
+    if labels:  # a model has at least one channel
+        path.unlink()
+        model = EnterpriseModel(events=np.ones((2, len(labels))), channel_labels=labels)
+        with pytest.raises(ValidationError) as excinfo:
+            write_events(model, path)
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert not path.exists()
+
+
 # --- mapping ----------------------------------------------------------------
 
 
@@ -152,6 +176,13 @@ def test_mapping_round_trip(tmp_path):
     assert parsed.competency_ids == mapping.competency_ids
     assert np.array_equal(parsed.costs, mapping.costs)
     assert parsed.budget == mapping.budget
+
+
+def test_write_mapping_needs_one_label_per_channel(tmp_path):
+    with pytest.raises(ValidationError) as excinfo:
+        write_mapping(sample_mapping(), ("a", "b"), tmp_path / "mapping.csv")
+    assert str(excinfo.value) == "mapping covers 3 channels but 2 labels given"
+    assert not (tmp_path / "mapping.csv").exists()
 
 
 def test_mapping_absent_pairs_default_to_zero(tmp_path):
@@ -210,8 +241,14 @@ def test_mapping_duplicate_pair_rejected(tmp_path):
         (read_comparison_table, ["# totals: 1,2"], 1, "totals directive needs 3 numbers"),
         (lambda path: parse_mapping(path, ("a",)), ["# budget: -1", "# budget: 1"], 2,
          "duplicate budget directive"),
+        (lambda path: parse_mapping(path, ("a",)), ["# budget: 1", "# cost: = 5"], 2,
+         "cost directive has empty id"),
+        (lambda path: parse_mapping(path, ("a",)), ["# budget: 1", "# cost: 1.1 = 5",
+                                                    "# cost: 1.1 = 6"], 3,
+         "duplicate cost for '1.1'"),
     ],
-    ids=["totals twice", "bad totals, then totals", "bad totals", "bad budget, then budget"],
+    ids=["totals twice", "bad totals, then totals", "bad totals", "bad budget, then budget",
+         "empty cost id", "cost id twice"],
 )
 def test_directive_errors_name_their_line(tmp_path, read, lines, line, message):
     header = "t,v_basic,v_ddescr,dv" if "totals" in lines[0] else "competency_id,channel_label,flag"
@@ -291,6 +328,25 @@ def test_scenario_missing_key_rejected(tmp_path):
     path.write_text('{"seed": 1, "periods": 5}')
     with pytest.raises(ParseError, match="processes"):
         parse_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], "scenario document must be a JSON object"),
+        ({"seed": 1, "periods": 5, "processes": {}}, "'processes' must be a list"),
+        ({"seed": 1, "periods": 5, "processes": [1]}, "process #1 must be an object"),
+        ({"seed": 1, "periods": 5, "processes": [{"name": "a", "bogus": 1}]},
+         "process #1 has unknown keys: bogus"),
+    ],
+    ids=["not-an-object", "processes-not-a-list", "process-not-an-object", "process-key"],
+)
+def test_scenario_structure_errors_name_the_file(tmp_path, document, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ParseError) as excinfo:
+        parse_scenario(path)
+    assert str(excinfo.value) == f"{path}: {message}"
 
 
 # --- report emission --------------------------------------------------------

@@ -38,6 +38,34 @@ def model_from(values, labels=None):
 # --- model validation -------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CompetencyMapping([1, 0], ("1.1",), [1.0], 1.0),
+         "flags must be 2-dimensional, got shape (2,)"),
+        (lambda: CompetencyMapping([[1, 0]], ("1.1", "1.2"), [1.0], 1.0),
+         "expected 1 competency ids, got 2"),
+        (lambda: CompetencyMapping([[1], [0]], ("1.1", "1.1"), [1.0, 2.0], 1.0),
+         "competency ids must be unique"),
+        (lambda: CompetencyMapping([[1]], ("1.1",), [1.0, 2.0], 1.0), "expected 1 costs, got 2"),
+        (lambda: MappedSeries(np.ones((2, 2)), ("a", "b"), masked_channels=(2,)),
+         "masked channel index out of range"),
+        (lambda: apply_mapping(np.ones((2, 1)), mapping_for([[1]])),
+         "source must be EnterpriseModel or MappedSeries, got ndarray"),
+        (lambda: EnterpriseModel(np.ones(3), ("a",)),
+         "events must be 2-dimensional, got shape (3,)"),
+        (lambda: EnterpriseModel(np.ones((0, 2)), ("a", "b")),
+         "events must be at least 1x1, got 0x2"),
+    ],
+    ids=["flags-1d", "id-count", "repeated-ids", "cost-count", "masked-index", "source-type",
+         "events-1d", "no-rows"],
+)
+def test_model_types_refuse_bad_shapes(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_model_rejects_non_finite_events():
     with pytest.raises(ValidationError, match="finite"):
         model_from([[1.0, np.nan]])

@@ -71,6 +71,22 @@ def test_pcg32_streams_are_distinct():
     assert [a.next_uint32() for _ in range(8)] != [b.next_uint32() for _ in range(8)]
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: Pcg32(1, stream=-1), "stream must be non-negative, got -1"),
+        (lambda: symmetric_draws(-1, 1, 1), "seed must be a 64-bit unsigned integer, got -1"),
+        (lambda: symmetric_draws(1 << 64, 1, 1),
+         f"seed must be a 64-bit unsigned integer, got {1 << 64}"),
+    ],
+    ids=["negative-stream", "negative-seed", "seed-past-64-bits"],
+)
+def test_generators_refuse_out_of_range_arguments(draw, message):
+    with pytest.raises(ValueError) as excinfo:
+        draw()
+    assert str(excinfo.value) == message
+
+
 def test_pcg32_rejects_out_of_range_seed():
     with pytest.raises(ValueError):
         Pcg32(-1)
