@@ -58,16 +58,19 @@ STANDARDIZED_BOUND_TOL = 1e-9
 # The kernel walks windows in chunks of periods of n * (n + 2k) doubles each that fit in
 # this many bytes. A chunk holds its n x n Gram stack, and in standardized mode, before
 # that, two (k, n) window stacks and about six n-rows of window extremes and sums per
-# period. Under tracemalloc a chunk's temporaries peaked at 0.3-1.0x the budget for
-# n = 8, 50 and 400, and at 1.2x for one standardized channel. The budget fits the
-# 2 MB L2 per core of the x86 host it was measured on: at 1 MB the standardized kernel
-# got slower there (medians of 9, 10k x 50: 0.133 -> 0.138 s, 50k x 8: 0.056 -> 0.065 s).
-_CHUNK_BYTES = 2 << 20
+# period. Under tracemalloc a standardized chunk's temporaries peaked at 1.05 MB for
+# n = 8 and 0.87 MB for n = 50 (1.93 and 1.75 MB at a 2 MB budget). On a 2-core x86 host
+# 1 MB chunks ran as fast as 2 MB within the host's noise (in process, medians of five
+# alternating rounds of 15 calls: standardized 50,000 x 8 65.6 against 66.8 ms,
+# standardized 10,000 x 50 111 against 111 ms, raw 10,000 x 50 69 against 67 ms).
+_CHUNK_BYTES = 1 << 20
 # Where the kernel's one-thread pin holds, a run of at least this many multiply-adds
-# (periods x n^2 x k) computes its second half in a forked child. On a 2-core x86 host
-# a raw run of 50 channels and 4,600 periods (138M) fell from 54 to 35 ms that way,
-# while one of 8 channels and 50,000 periods (38M) got slower: its chunks are too
-# cheap to pay for the child and the hand-back of its rows.
+# (periods x n^2 x k) computes its second half in a forked child. On a 2-core x86 host,
+# with 1 MB chunks (in process, medians of five alternating rounds of 15 calls), a raw
+# run of 50 channels and 4,600 periods (138M) took 74 ms serial and 56 ms split. Runs of
+# 8 channels and 50,000 periods (38M), under this bound, gained from a split too:
+# standardized 65 -> 50 ms (111 -> 75 ms in a noisier pass) and raw 52 -> 48 ms. A lower
+# bound waits for an end-to-end measurement.
 _SPLIT_MACS = 1 << 27
 
 

@@ -28,7 +28,10 @@ rule and finiteness are checked on its arrays. Any other data and any
 row, rule or warning that stops that call take the one scan in a second
 open of the file: each cell is converted by ``int()`` or ``float()``, up
 to the first bad one, named with its line. The accepted syntax and every
-message are the scan's either way.
+message are the scan's either way. A read holds one copy of the table:
+loadtxt's rows become the values in place (``_keep_cells``), which a
+parsed model holds as they are and a comparison cuts into its columns
+one at a time, with about 64 KB of text and 64 KB of moved cells beside.
 
 The scenario is a JSON object mirroring ScenarioConfig. Computed values
 are serialized with full round-trip precision (shortest repr); files are
@@ -172,10 +175,10 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
     header starts with ``t``, ``t`` must be ``first_period`` (by default
     the first row's own value) on the first row and go up by 1 on each
     later row, and ``cells`` are the other fields; otherwise ``t`` is
-    None. ``batches`` streams the same lines in lists of up to
-    ``_PLAIN_BATCH_LINES``; both read one stream, so use only one. A byte
-    that is not UTF-8 is an error at its own line, raised when the text
-    around it is first read.
+    None. ``batches`` streams the same lines in lists of about
+    ``_PLAIN_BATCH_CHARS`` characters; both read one stream, so use only
+    one. A byte that is not UTF-8 is an error at its own line, raised when
+    the text around it is first read.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -238,7 +241,14 @@ def _read_table(path, directives=(), first_period=None, repeated=()):
                     yield line, t, row[1:]
 
             def batches():
-                while batch := list(itertools.islice(data, _PLAIN_BATCH_LINES)):
+                batch, size = [], 0
+                for raw in data:
+                    batch.append(raw)
+                    size += len(raw)
+                    if size >= _PLAIN_BATCH_CHARS:
+                        yield batch
+                        batch, size = [], 0
+                if batch:
                     yield batch
 
             yield header_line, header, found, rows(), batches()
@@ -362,9 +372,16 @@ def _event_header_problem(header) -> str | None:
 
 
 def write_events(model: EnterpriseModel, path) -> Path:
-    """Write an event-series file; its header must pass parse_events' rule, fields stripped."""
+    """Write an event-series file that parse_events reads back with the model's labels.
+
+    Its header must pass parse_events' rule with each field stripped, as
+    the reader strips them, and then no label may change when stripped.
+    """
     header = (EVENT_PERIOD_COLUMN, *model.channel_labels)
     problem = _event_header_problem(tuple(field.strip() for field in header))
+    spaced = [label for label in model.channel_labels if label != label.strip()]
+    if not problem and spaced:
+        problem = f"channel label {spaced[0]!r} would read back as {spaced[0].strip()!r}"
     if problem:
         raise ValidationError(f"{path}: {problem}")
     periods = np.arange(1, model.t_max + 1)
@@ -386,6 +403,7 @@ def parse_events(path) -> EnterpriseModel:
     line, header, _, _, events = _read_numeric(path, check, first_period=1)
     if not events.size:
         raise ParseError("no data rows (t_max = 0)", source=path, line=line)
+    events.setflags(write=False)  # so the model shares it (model._frozen_array)
     return EnterpriseModel(events=events, channel_labels=header[1:])
 
 
@@ -395,8 +413,12 @@ def parse_events(path) -> EnterpriseModel:
 # digits, so such data takes the scan. Every \r ends a line, as \n does, so
 # CRLF and lone-CR files take loadtxt.
 _PLAIN = b"0123456789.eE+-, \n\r"
-# Data lines checked against _PLAIN and handed to loadtxt at a time.
-_PLAIN_BATCH_LINES = 64
+# Characters of data lines checked against _PLAIN and handed to loadtxt at a time: a
+# batch ends with the line that reaches it, so its text is held about three times
+# (the lines, their join and its ASCII bytes) whatever the lines' length.
+_PLAIN_BATCH_CHARS = 1 << 16
+# Cells _keep_cells moves at a time, and so the most its move holds beside the table.
+_MOVE_BLOCK_CELLS = 1 << 13
 
 
 def _read_numeric(path, check, **table) -> tuple:
@@ -427,7 +449,9 @@ def _read_numeric(path, check, **table) -> tuple:
             for at, _, cells in itertools.chain([first], rows)
             for cell, label in zip(cells, header[1:])
         )
-        values = np.fromiter(scanned, dtype=float).reshape(-1, len(header) - 1)
+        values = np.fromiter(scanned, dtype=float)
+    # Shaped in place, so the values own their data on either path.
+    values.resize((values.size // (len(header) - 1), len(header) - 1), refcheck=False)
     periods = np.arange(first[1], first[1] + len(values), dtype=np.int64)
     return line, header, found, periods, values
 
@@ -442,6 +466,15 @@ def _load_plain(batches, width, first_period) -> tuple[np.ndarray, np.ndarray]:
     leaves the alphabet or breaks the dense ``t`` rule or finiteness;
     loadtxt's own errors, and its warnings (made errors, so that a table
     without data rows raises), propagate.
+
+    Once checked, loadtxt's structured (t, v) rows become the (rows,
+    width) float64 values in place: the array's dtype is set to float64,
+    so each row reads as its period's 8 bytes and its values, and
+    ``_keep_cells`` drops the first cell of each row. So the values own
+    their data, and no second copy of the table is made. The checks read
+    the rows through views (``data["t"]``, ``data["v"]``) that end with
+    their expressions, so no view of the structured rows survives into
+    the move.
     """
 
     def plain(batch):
@@ -467,7 +500,34 @@ def _load_plain(batches, width, first_period) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("periods do not run densely from the first period")
     if not np.isfinite(data["v"]).all():
         raise ValueError("a cell is not finite")
-    return periods, data["v"]
+    data.dtype = np.float64
+    return periods, _keep_cells(data, width + 1, slice(1, None))
+
+
+def _keep_cells(owner: np.ndarray, width: int, keep: slice) -> np.ndarray:
+    """``owner``, a C-contiguous float64 array owning its data, cut to cells ``keep`` of each row.
+
+    Rows are ``width`` cells, and ``owner`` is returned shaped (rows,
+    kept). The kept cells move to the front of the buffer up to
+    ``_MOVE_BLOCK_CELLS`` cells at a time (a cell never lands past where
+    it was read, so no block overwrites cells a later one reads), and
+    ``resize`` cuts the buffer to them. ``resize`` may move the data and
+    leave any view of the old buffer on freed memory, so it runs only once
+    this function's views are gone, and callers hold none. Its reference
+    check, which a caller's own name for ``owner`` would trip, is off.
+    """
+    flat = owner.reshape(-1)
+    rows = flat.size // width
+    grid = flat.reshape(rows, width)[:, keep]
+    kept = grid.shape[1]
+    step = max(1, _MOVE_BLOCK_CELLS // width)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        # numpy copies a source block that overlaps its destination before the move.
+        flat[start * kept : stop * kept].reshape(-1, kept)[...] = grid[start:stop]
+    del flat, grid
+    owner.resize((rows, kept), refcheck=False)
+    return owner
 
 
 # --- competency mapping ----------------------------------------------------
@@ -642,7 +702,15 @@ def read_comparison_table(path) -> tuple[RegimeComparison, tuple[float, float, f
             raise ParseError(message, source=path, line=line)
 
     _, _, _, periods, values = _read_numeric(path, check, directives=("totals",))
-    return RegimeComparison(periods, *values.T), totals
+    # Each column is copied out, the last first, and cut from the table in place, so the
+    # read holds one column beyond the table; frozen, the comparison shares them.
+    columns = [values[:, -1].copy()]
+    while values.shape[1] > 1:
+        values = _keep_cells(values, values.shape[1], slice(0, -1))
+        columns.insert(0, values[:, -1].copy())
+    for owned in (periods, *columns):
+        owned.setflags(write=False)
+    return RegimeComparison(periods, *columns), totals
 
 
 def write_indicator_table(indicators: IndicatorSeries, path) -> Path:

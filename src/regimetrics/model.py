@@ -36,10 +36,11 @@ def _frozen_array(values, dtype=float, ndim: int | None = None, name: str = "arr
     writeable view taken before the freeze, or the flag set back, would
     break that promise. The package freezes the arrays it makes
     (``apply_mapping``'s masked copy, the kernel's rows, the generator's
-    events) as soon as they are filled and before passing them on, so
-    each is held once. Anything else is copied: a view, whose base may be
-    written, and a writeable array, which stays the caller's and
-    writeable, and whose later changes never reach the copy.
+    events, the reader's events and a comparison table's columns) as soon
+    as they are filled and before passing them on, so each is held once.
+    Anything else is copied: a view, whose base may be written, and a
+    writeable array, which stays the caller's and writeable, and whose
+    later changes never reach the copy.
     """
     arr = values
     owned = type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable

@@ -474,6 +474,20 @@ def test_generate_refuses_labels_that_analyze_would_refuse(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_refuses_labels_that_would_read_back_renamed(tmp_path, capsys):
+    # The reader strips header fields, so " a.1" would come back as "a.1".
+    document = json.loads(json.dumps(SCENARIO))
+    document["processes"][1]["name"] = " a"
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert run(["generate", "--config", config, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'events_baseline.csv'}: channel label ' a.1' would read back as 'a.1'\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "directives, rows, line, message",
     [

@@ -155,6 +155,18 @@ def test_reader_and_writer_share_the_event_header_rule(tmp_path, labels, message
         assert not path.exists()
 
 
+@pytest.mark.parametrize("label", [" a", "a ", "a\n", "\tb\t"])
+def test_write_events_refuses_a_label_the_reader_would_rename(tmp_path, label):
+    # parse_events strips every header field, so such a label reads back as another.
+    path = tmp_path / "events.csv"
+    model = EnterpriseModel(events=np.ones((2, 2)), channel_labels=("x", label))
+    with pytest.raises(ValidationError) as excinfo:
+        write_events(model, path)
+    stripped = label.strip()
+    assert str(excinfo.value) == f"{path}: channel label {label!r} would read back as {stripped!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- mapping ----------------------------------------------------------------
 
 

@@ -366,15 +366,15 @@ def test_closing_directives_at_any_block_boundary_read_alike(
     path = tmp_path / "plot.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected = scanned_outcome("indicator", path)
-    for lines in range(1, text.count(ending) + 2):
-        monkeypatch.setattr(rio, "_PLAIN_BATCH_LINES", lines)
+    for chars in range(1, len(text) + 2):
+        monkeypatch.setattr(rio, "_PLAIN_BATCH_CHARS", chars)
         with mock.patch.object(rio, "_read_table", wraps=rio._read_table) as opened:
             assert outcome("indicator", path) == expected
         assert opened.call_count == 1  # numpy's reader takes every line end, a lone \r too
 
 
 def test_a_byte_that_is_not_utf8_past_the_first_block_is_an_error_at_its_line(tmp_path):
-    assert 15000 > rio._PLAIN_BATCH_LINES
+    assert 15000 * len("1,1.5\n") > rio._PLAIN_BATCH_CHARS
     # The byte's line is counted as the reader ends lines, so a bad cell in its place
     # is named at the same line.
     for end in (b"\n", b"\r\n", b"\r"):

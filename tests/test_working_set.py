@@ -5,8 +5,9 @@ its data, and copies anything else. The package freezes the arrays it
 makes, so the event matrix, its masked version and the indicator rows are
 each held once, and ``analyze`` drops the unmasked events before the
 kernel starts. A kernel split across two processes fills one array of
-indicator rows. Beyond its arrays, the kernel holds one chunk and a
-table write one block of cells.
+indicator rows. The numeric reader turns numpy's rows into its values in
+place. Beyond its arrays, the kernel holds one chunk of about 1 MB, the
+generator one chunk of draws' scratch, and a table write one block of cells.
 """
 
 import tracemalloc
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import regimetrics.engine as engine
+import regimetrics.io as rio
 from regimetrics import (
     CompetencyMapping,
     EnterpriseModel,
@@ -24,11 +26,19 @@ from regimetrics import (
     apply_mapping,
     indicator_series,
     paired_scenarios,
+    parse_events,
     write_events,
 )
 from regimetrics.cli import main
-from regimetrics.io import write_indicator_table
+from regimetrics.engine import RegimeComparison
+from regimetrics.io import (
+    read_comparison_table,
+    read_indicator_column,
+    write_comparison_table,
+    write_indicator_table,
+)
 from regimetrics.model import _frozen_array
+from regimetrics.prng import symmetric_draws
 from regimetrics.synth import ProcessConfig, ScenarioConfig
 
 
@@ -133,11 +143,11 @@ def test_standardized_analyze_peaks_at_about_three_series(tmp_path, capsys):
     assert code == 0
     assert "masked channels: c6, c7" in capsys.readouterr().out
     # The series and the indicator rows (one series each) plus a kernel chunk's
-    # temporaries (under 2 MB, about 0.6 series here): 2.66 to 2.70 series, with a
-    # margin of 0.1. Holding the unmasked events, the masked ones and copies of both
-    # beside the rows took this to 5.9 series, and the kernel's (periods, n) degenerate
-    # flags to 2.78 to 2.83.
-    assert peak / (t * n * 8) < 2.8
+    # temporaries (about 1 MB, 0.33 series here): 2.36 to 2.37 series, with a margin of
+    # 0.1. Holding the unmasked events, the masked ones and copies of both beside the
+    # rows took this to 5.9 series, the kernel's (periods, n) degenerate flags to 2.78
+    # to 2.83, and 2 MB kernel chunks to 2.64 to 2.65.
+    assert peak / (t * n * 8) < 2.47
 
 
 @pytest.mark.parametrize("t", [50_000, 200_000])
@@ -194,7 +204,98 @@ def test_a_split_kernel_holds_its_rows_once(tmp_path, mode):
         code, peak = traced_peak(lambda: main(argv))
     assert code == 0
     assert two_process_kernel.call_count == 1
-    # The series and the rows (a series each) and the parse's or a chunk's temporaries:
-    # about 2.4 series in raw mode and 2.6 standardized. Two halves of the rows, the
-    # child's read as bytes, beside their concatenation took both past 3.
-    assert peak / (t * n * 8) < 2.8
+    # The series and the rows (a series each) and a chunk's temporaries: 2.20 series in
+    # raw mode and 2.24 standardized, with a margin of 0.1. Two halves of the rows, the
+    # child's read as bytes, beside their concatenation took both past 3, and 2 MB
+    # kernel chunks to 2.37 and 2.47.
+    assert peak / (t * n * 8) < 2.35
+
+
+@pytest.mark.parametrize(
+    "t, n", [(50_000, 8), (10_000, 50), (400, 400)], ids=["long", "desk", "wide"]
+)
+def test_parsing_events_holds_one_series_and_scratch(tmp_path, t, n):
+    labels = [f"c{j}" for j in range(n)]
+    values = np.random.default_rng(17).normal(100.0, 10.0, size=(t, n))
+    write_events(EnterpriseModel(events=values, channel_labels=labels), tmp_path / "events.csv")
+    del values
+    model, peak = traced_peak(lambda: parse_events(tmp_path / "events.csv"))
+    assert model.t_max == t
+    # numpy's (t, v) rows, a little over a series, and their periods and flags, which
+    # become the events in place: 1.40, 1.25 and 1.40 series. Holding those rows beside
+    # the model's copy took 2.38, 2.17 and 2.54, and 64 of wide's 7.3 kB lines checked
+    # at a time 2.56.
+    assert peak / (t * n * 8) < 1.5
+
+
+@pytest.mark.parametrize("cell, value", [("1.5", 1.5), ("1_0.5", 10.5)], ids=["plain", "scanned"])
+def test_parsed_events_are_the_models_own(tmp_path, monkeypatch, cell, value):
+    # 1_0.5 is outside the plain alphabet, so it takes the scan in a second open.
+    path = tmp_path / "events.csv"
+    path.write_text(f"t,a,b\n1,{cell},2\n2,-3e2,4\n")
+    read_numeric, returned = rio._read_numeric, []
+
+    def kept(*args, **kwargs):
+        result = read_numeric(*args, **kwargs)
+        returned.append(result[-1])
+        return result
+
+    monkeypatch.setattr(rio, "_read_numeric", kept)
+    model = parse_events(path)
+    assert model.events is returned[0]
+    assert model.events.flags.owndata and not model.events.flags.writeable
+    assert model.events.tolist() == [[value, 2.0], [-300.0, 4.0]]
+
+
+@pytest.mark.parametrize("t, n", [(50_000, 8), (388, 400)], ids=["long", "wide"])
+def test_reading_an_indicator_column_holds_one_table_and_scratch(tmp_path, t, n):
+    indicators = IndicatorSeries(
+        periods=np.arange(13, 13 + t), values=frozen(np.random.default_rng(5).random((t, n))),
+        k=12, mode="raw", channel_labels=[f"c{j}" for j in range(n)],
+    )
+    path = write_indicator_table(indicators, tmp_path / "indicators.csv")
+    (_, column), peak = traced_peak(lambda: read_indicator_column(path, 12, "raw"))
+    assert np.array_equal(column, indicators.per_period_totals())
+    # numpy's rows of the table (the period, the channels and the total), their periods
+    # and a batch of text: 1.33 tables on both. 64 of wide's 7.7 kB lines checked at a
+    # time took it to 2.69.
+    assert peak / (t * (n + 2) * 8) < 1.5
+
+
+def test_reading_a_comparison_holds_one_table_and_scratch(tmp_path):
+    t = 50_000
+    basic, treated = np.random.default_rng(5).random((2, t))
+    made = RegimeComparison(np.arange(13, 13 + t), basic, treated, treated - basic)
+    path = write_comparison_table(tmp_path / "comparison.csv", made)
+    (comparison, _), peak = traced_peak(lambda: read_comparison_table(path))
+    for got, expected in zip(
+        (comparison.periods, comparison.basic, comparison.treated, comparison.delta),
+        (made.periods, basic, treated, made.delta),
+    ):
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.owndata and not got.flags.writeable  # shared, not copied
+    # numpy's rows of the table, their periods and a batch of text, then one column at a
+    # time cut from the table: 1.43 tables. The three columns copied out beside the
+    # table took 2.25.
+    assert peak / (t * 4 * 8) < 1.5
+
+
+@pytest.mark.parametrize("periods, streams", [(10_000, 50), (50_000, 8)], ids=["desk", "long"])
+def test_drawing_holds_one_chunk_beyond_the_draws(periods, streams):
+    draws, peak = traced_peak(lambda: symmetric_draws(7, streams, periods))
+    assert draws.shape == (periods, streams)
+    # A chunk's uint64 temporaries under _CHUNK_BYTES: 1.09 and 1.13 MB. 4 MB chunks
+    # held 4.36 and 4.50 MB.
+    assert peak - draws.nbytes <= 1.25 * (1 << 20)
+
+
+@pytest.mark.parametrize("n", [8, 50])
+def test_a_standardized_chunk_holds_about_a_megabyte(n):
+    k = 12
+    labels = [f"c{j}" for j in range(n)]
+    rows = np.random.default_rng(17).normal(100.0, 10.0, (engine._chunk_periods(n, k) + k - 1, n))
+    _, peak = traced_peak(
+        lambda: engine._chunk_kernel(rows, k, "standardized", False, k + 1, labels)
+    )
+    # 1.05 MB for n = 8 and 0.87 MB for n = 50; 2 MB chunks held 1.93 and 1.75 MB.
+    assert peak <= 1.25 * (1 << 20)
