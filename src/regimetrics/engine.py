@@ -57,9 +57,11 @@ STANDARDIZED_BOUND_TOL = 1e-9
 
 # The kernel walks windows in chunks of periods of n * (n + 2k) doubles each that fit in
 # this many bytes. A chunk holds its n x n Gram stack, and in standardized mode, before
-# that, two (k, n) window stacks and about six n-rows of window extremes and sums per
-# period. Under tracemalloc a standardized chunk's temporaries peaked at 1.05 MB for
-# n = 8 and 0.87 MB for n = 50 (1.93 and 1.75 MB at a 2 MB budget). On a 2-core x86 host
+# that, one (k, n) stack of z-scores and about six n-rows of window extremes and sums per
+# period. Under tracemalloc a standardized chunk's temporaries peaked at 0.73 MB for
+# n = 8 and 0.87 MB for n = 50 (1.05 and 0.87 MB with a second, contiguous z-score
+# stack; 1.93 and 1.75 MB at a 2 MB budget). One period of n = 400 holds 1.23 MB raw,
+# since its Gram matrix alone passes the budget past 350 channels. On a 2-core x86 host
 # 1 MB chunks ran as fast as 2 MB within the host's noise (in process, medians of five
 # alternating rounds of 15 calls: standardized 50,000 x 8 65.6 against 66.8 ms,
 # standardized 10,000 x 50 111 against 111 ms, raw 10,000 x 50 69 against 67 ms).
@@ -69,8 +71,9 @@ _CHUNK_BYTES = 1 << 20
 # with 1 MB chunks (in process, medians of five alternating rounds of 15 calls), a raw
 # run of 50 channels and 4,600 periods (138M) took 74 ms serial and 56 ms split. Runs of
 # 8 channels and 50,000 periods (38M), under this bound, gained from a split too:
-# standardized 65 -> 50 ms (111 -> 75 ms in a noisier pass) and raw 52 -> 48 ms. A lower
-# bound waits for an end-to-end measurement.
+# standardized 65 -> 50 ms (111 -> 75 ms in a noisier pass) and raw 52 -> 48 ms. With the
+# bound at 2^25 the long benchmark case split too, and its peak RSS read higher in 10 of
+# 10 pairs against the parent, its analyze time lower in only 6.
 _SPLIT_MACS = 1 << 27
 
 
@@ -105,9 +108,12 @@ def _row_sums(rows) -> np.ndarray:
 def _standardize(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Z-score every channel of each window of k consecutive ``rows`` in its window.
 
-    Returns the (windows, k, n) stack of z-scores and the (windows, n)
-    degenerate flags. A channel is degenerate exactly when its window is
-    constant; its column becomes zero. Each column is first scaled by a
+    Returns the (windows, k, n) z-scores and the (windows, n) degenerate
+    flags. The z-scores are one (k, windows, n) stack, row l of every
+    window at a time, scaled, centred and divided in place; the result is
+    its transposed view, whose windows the Gram product reads with a row
+    stride of windows x n. A channel is degenerate exactly when its window
+    is constant; its column becomes zero. Each column is first scaled by a
     power of two taken from its largest magnitude, so squaring cannot
     overflow, and the z-scores equal the unscaled ones bit for bit
     wherever those neither overflow nor underflow. Window sums add the
@@ -123,10 +129,8 @@ def _standardize(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # A constant column centers on its own value, so it becomes exactly 0.
     scaled -= np.where(degenerate, scaled[0], _row_sums(scaled) / k)
     variance = _row_sums(map(np.square, scaled)) / (k - 1)
-    # The last pass lays each window out contiguously, as the Gram product reads it.
-    z = np.empty((count, k, rows.shape[1]))
-    np.divide(scaled, np.sqrt(np.where(degenerate, 1.0, variance)), out=z.transpose(1, 0, 2))
-    return z, degenerate
+    scaled /= np.sqrt(np.where(degenerate, 1.0, variance))
+    return scaled.transpose(1, 0, 2), degenerate
 
 
 def _check_chunk(magnitude, sums, degenerate, mode: str, first: int, labels) -> None:
@@ -163,7 +167,11 @@ def _check_chunk(magnitude, sums, degenerate, mode: str, first: int, labels) -> 
 
 
 def _chunk_periods(n: int, k: int) -> int:
-    """Periods per kernel chunk: a chunk's live temporaries stay under ``_CHUNK_BYTES``."""
+    """Periods per kernel chunk: a chunk's live temporaries stay under ``_CHUNK_BYTES``.
+
+    That holds while one period's n x (n + 2k) doubles fit the budget (n <= 350 at
+    k = 12); past that a chunk is one period, whose Gram matrix alone passes it.
+    """
     return max(1, _CHUNK_BYTES // (8 * n * (n + 2 * k)))
 
 
@@ -343,9 +351,11 @@ class IndicatorSeries:
         values = _frozen_array(self.values, ndim=2, name="values")
         if values.shape[0] != periods.shape[0]:
             raise ValidationError("one value row per period required")
-        if periods.size and np.any(np.diff(periods) <= 0):
+        # Neither check holds a (periods, n) or int64 (periods,) temporary: after the kernel,
+        # those would outweigh its chunk. fmin skips nan, as values < 0 does.
+        if np.any(periods[1:] <= periods[:-1]):
             raise ValidationError("periods must be strictly increasing")
-        if np.any(values < 0):
+        if np.fmin.reduce(values, axis=None, initial=0.0) < 0:
             raise ValidationError("indicator components must be non-negative")
         labels = tuple(str(label) for label in self.channel_labels)
         if len(labels) != values.shape[1]:

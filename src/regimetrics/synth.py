@@ -141,10 +141,11 @@ def generate_series(config: ScenarioConfig) -> EnterpriseModel:
     first = 0
     for proc in config.processes:
         cycle = proc.period_length
-        wave = np.array([_triangle(t, cycle) for t in range(1, min(cycle, periods) + 1)])
-        if cycle < periods:
-            wave = wave[np.arange(periods) % cycle]
-        level = float(proc.base_level) + float(proc.amplitude) * wave
+        wave = [_triangle(t, cycle) for t in range(1, min(cycle, periods) + 1)]
+        # The wave repeated over every period, then scaled and shifted in place.
+        level = np.resize(np.array(wave), periods)
+        level *= float(proc.amplitude)
+        level += float(proc.base_level)
         block = events[:, first : first + proc.channels]
         if proc.noise_scale:
             block *= float(proc.noise_scale)
@@ -163,9 +164,12 @@ def _with_intervention(events: np.ndarray, config: ScenarioConfig) -> np.ndarray
     # per-value branch would take, so treated = baseline + cost exactly.
     if config.intervention_period is None:
         return events
-    first_channels = np.cumsum([0] + [proc.channels for proc in config.processes[:-1]])
     treated = events.copy()
-    treated[config.intervention_period - 1 :, first_channels] += config.intervention_cost_per_period
+    first = 0
+    for proc in config.processes:
+        # One column at a time, in place: a fancy index would copy the columns out and back.
+        treated[config.intervention_period - 1 :, first] += config.intervention_cost_per_period
+        first += proc.channels
     return treated
 
 

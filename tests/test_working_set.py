@@ -143,10 +143,11 @@ def test_standardized_analyze_peaks_at_about_three_series(tmp_path, capsys):
     assert code == 0
     assert "masked channels: c6, c7" in capsys.readouterr().out
     # The series and the indicator rows (one series each) plus a kernel chunk's
-    # temporaries (about 1 MB, 0.33 series here): 2.36 to 2.37 series, with a margin of
-    # 0.1. Holding the unmasked events, the masked ones and copies of both beside the
-    # rows took this to 5.9 series, the kernel's (periods, n) degenerate flags to 2.78
-    # to 2.83, and 2 MB kernel chunks to 2.64 to 2.65.
+    # temporaries (0.73 MB, 0.24 series here): 2.26 series, with a margin of 0.1; a
+    # chunk of two z-score stacks took it to 2.37. Holding the unmasked events, the
+    # masked ones and copies of both beside the rows took this to 5.9 series, the
+    # kernel's (periods, n) degenerate flags to 2.78 to 2.83, and 2 MB kernel chunks to
+    # 2.64 to 2.65.
     assert peak / (t * n * 8) < 2.47
 
 
@@ -179,7 +180,9 @@ def test_the_kernel_holds_its_rows_and_one_chunk():
     indicators, peak = traced_peak(lambda: indicator_series(series, k, "standardized"))
     # The rows and one chunk's temporaries, and under a quarter of the smallest other
     # (periods, n) array, a bool one: 17 kB here. The kernel's per-period degenerate
-    # flags took 409 kB.
+    # flags took 409 kB. Once the chunk shrank to 0.73 MB, IndicatorSeries' checks set
+    # the peak when they held a (periods, n) bool array and the int64 differences of
+    # the periods: 98 kB.
     assert peak - indicators.values.nbytes - chunk < t * n // 4
 
 
@@ -289,6 +292,23 @@ def test_drawing_holds_one_chunk_beyond_the_draws(periods, streams):
     assert peak - draws.nbytes <= 1.25 * (1 << 20)
 
 
+def test_a_scenario_pair_holds_its_two_series_and_scratch():
+    # The long case's shape: 50,000 periods of 4 processes with 2 channels each.
+    processes = tuple(
+        ProcessConfig(name=f"p{i}", channels=2, amplitude=10.0, period_length=6 + 6 * (i % 2),
+                      noise_scale=4.0)
+        for i in range(4)
+    )
+    config = ScenarioConfig(seed=7, periods=50_000, processes=processes,
+                            intervention_period=25_000, intervention_cost_per_period=10.0)
+    (baseline, treated), peak = traced_peak(lambda: paired_scenarios(config))
+    assert treated.events.shape == (50_000, 8)
+    # The baseline and the treated copy, and a bool (periods, n) array of the model's
+    # finiteness check: 2.13 series. Each level built from int64 period indices and the
+    # cost added through a fancy index of the first channels took it to 2.25.
+    assert peak / treated.events.nbytes <= 2.2
+
+
 @pytest.mark.parametrize("n", [8, 50])
 def test_a_standardized_chunk_holds_about_a_megabyte(n):
     k = 12
@@ -297,5 +317,6 @@ def test_a_standardized_chunk_holds_about_a_megabyte(n):
     _, peak = traced_peak(
         lambda: engine._chunk_kernel(rows, k, "standardized", False, k + 1, labels)
     )
-    # 1.05 MB for n = 8 and 0.87 MB for n = 50; 2 MB chunks held 1.93 and 1.75 MB.
+    # 0.73 and 0.87 MB: the z-scores divided in place, one stack of them. With a second,
+    # contiguous stack a chunk held 1.05 and 0.87 MB; 2 MB chunks held 1.93 and 1.75 MB.
     assert peak <= 1.25 * (1 << 20)
