@@ -18,11 +18,11 @@ coefficients bounded by 1.
 One chunked kernel computes every period at one OpenBLAS thread, so every
 caller gets the same bits; ``window_correlation`` runs it on a single
 period for inspection. In standardized mode a chunk takes its windows'
-max and min from its own rows of the series by doubling spans, and adds
-each window's rows one at a time, oldest first, for its sum and sum of
-squares. No period's rows depend on another's, so ``indicator_series``
+largest magnitude from its own rows of the series by doubling spans, and
+adds each window's rows one at a time, oldest first, for its sums and sum
+of squares. No period's rows depend on another's, so ``indicator_series``
 can hand a long run's second half to a forked child. ``naive_oracle``
-recomputes everything with explicit triple loops and no matrix product,
+recomputes everything with explicit loops and no matrix product,
 so tests can check the kernel against an independent implementation.
 """
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ STANDARDIZED_BOUND_TOL = 1e-9
 
 # The kernel walks windows in chunks of periods of n * (n + 2k) doubles each that fit in
 # this many bytes. A chunk holds its n x n Gram stack, and in standardized mode, before
-# that, one (k, n) stack of z-scores and about six n-rows of window extremes and sums per
+# that, one (k, n) stack of z-scores and about six n-rows of window maxima and sums per
 # period. Under tracemalloc a standardized chunk's temporaries peaked at 0.73 MB for
 # n = 8 and 0.87 MB for n = 50 (1.05 and 0.87 MB with a second, contiguous z-score
 # stack; 1.93 and 1.75 MB at a 2 MB budget). One period of n = 400 holds 1.23 MB raw,
@@ -73,27 +74,28 @@ _CHUNK_BYTES = 1 << 20
 # 8 channels and 50,000 periods (38M), under this bound, gained from a split too:
 # standardized 65 -> 50 ms (111 -> 75 ms in a noisier pass) and raw 52 -> 48 ms. With the
 # bound at 2^25 the long benchmark case split too, and its peak RSS read higher in 10 of
-# 10 pairs against the parent, its analyze time lower in only 6.
+# 10 pairs against the parent, its analyze time lower in only 6. The child did not set that
+# peak: in long analyze its VmHWM read 30.5 MB and the parent's 37.5-37.9 MB, whose
+# anonymous pages read 23.58 MB split or not, its file-backed pages 0.0-0.2 MB more.
 _SPLIT_MACS = 1 << 27
 
 
-def _window_extremes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min over each run of k consecutive rows of ``rows``.
+def _window_max(rows: np.ndarray, k: int) -> np.ndarray:
+    """Max over each run of k consecutive rows of ``rows``.
 
-    Doubling spans (van Herk 1992; Gil & Werman 1993): the extremes over
-    spans of 1, 2, 4, ... rows come from two shifted slices of the last
-    span, and two overlapping spans of the largest power of two up to k
-    cover each window. That is log2(k) + 1 passes over the rows instead
-    of k per window, and exact, since max and min never round.
+    Doubling spans (van Herk 1992; Gil & Werman 1993): the max over spans
+    of 1, 2, 4, ... rows comes from two shifted slices of the last span,
+    and two overlapping spans of the largest power of two up to k cover
+    each window. That is log2(k) + 1 passes over the rows instead of k
+    per window, and exact, since max never rounds.
     """
     count = len(rows) - k + 1
-    hi = lo = rows
+    hi = rows
     span = 1
     while 2 * span <= k:
         hi = np.maximum(hi[:-span], hi[span:])
-        lo = np.minimum(lo[:-span], lo[span:])
         span *= 2
-    return np.maximum(hi[:count], hi[k - span :]), np.minimum(lo[:count], lo[k - span :])
+    return np.maximum(hi[:count], hi[k - span :])
 
 
 def _row_sums(rows) -> np.ndarray:
@@ -112,24 +114,24 @@ def _standardize(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     flags. The z-scores are one (k, windows, n) stack, row l of every
     window at a time, scaled, centred and divided in place; the result is
     its transposed view, whose windows the Gram product reads with a row
-    stride of windows x n. A channel is degenerate exactly when its window
-    is constant; its column becomes zero. Each column is first scaled by a
-    power of two taken from its largest magnitude, so squaring cannot
-    overflow, and the z-scores equal the unscaled ones bit for bit
-    wherever those neither overflow nor underflow. Window sums add the
+    stride of windows x n. Each column is scaled by a power of two taken
+    from its largest magnitude, so squaring cannot overflow, and centred
+    twice: the second pass takes out what the rounded first mean left
+    (Chan, Golub & LeVeque 1983), and a constant window centres to exactly
+    0. So a channel is degenerate, its window constant, exactly when its
+    centred squares sum to 0; its column stays zero. Window sums add the
     window's rows one at a time, oldest first.
     """
     count = len(rows) - k + 1
-    hi, lo = _window_extremes(rows, k)
-    degenerate = hi == lo
-    _, exponent = np.frexp(np.maximum(hi, -lo))
+    _, exponent = np.frexp(_window_max(np.abs(rows), k))
     # scaled[l] is row l of every window, so each pass runs over contiguous memory.
     by_row = sliding_window_view(rows, count, axis=0).transpose(0, 2, 1)
     scaled = np.ldexp(by_row, -exponent)
-    # A constant column centers on its own value, so it becomes exactly 0.
-    scaled -= np.where(degenerate, scaled[0], _row_sums(scaled) / k)
-    variance = _row_sums(map(np.square, scaled)) / (k - 1)
-    scaled /= np.sqrt(np.where(degenerate, 1.0, variance))
+    for _ in range(2):
+        scaled -= _row_sums(scaled) / k
+    squares = _row_sums(map(np.square, scaled))
+    degenerate = squares == 0
+    scaled /= np.sqrt(np.where(degenerate, 1.0, squares / (k - 1)))
     return scaled.transpose(1, 0, 2), degenerate
 
 
@@ -521,34 +523,31 @@ def naive_oracle(
     Extracts the window, z-scores it when standardized, and accumulates
     every coefficient and indicator component with plain Python floats;
     no matrix product, no shared code with the engine pipeline beyond
-    the precondition checks.
+    the precondition checks. A standardized column is degenerate when its
+    max equals its min. Otherwise its deviations from the mean are exact,
+    divided by the largest magnitude among them and rounded once, and its
+    sums of squares and products are correctly rounded (``math.fsum``).
     """
     validate_mode(mode)
     _check_window_bounds(series.t_max, t, k)
-    n = series.n
-    data = series.values
-    rows = [[float(data[t - l - 1, j]) for j in range(n)] for l in range(1, k + 1)]
-    degenerate = [False] * n
-    if mode == STANDARDIZED:
-        for j in range(n):
-            column = [rows[l][j] for l in range(k)]
-            if max(column) == min(column):
-                degenerate[j] = True
-                for l in range(k):
-                    rows[l][j] = 0.0
-            else:
-                mean = sum(column) / k
-                sum_sq = sum((value - mean) ** 2 for value in column)
-                std = math.sqrt(sum_sq / (k - 1))
-                for l in range(k):
-                    rows[l][j] = (rows[l][j] - mean) / std
-    r = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for l in range(k):
-                acc += rows[l][i] * rows[l][j]
-            r[i][j] = acc / (k - 1)
+    columns = [list(map(float, column)) for column in series.values[t - k - 1 : t - 1].T]
+    degenerate = [mode == STANDARDIZED and max(column) == min(column) for column in columns]
+    for j, column in enumerate(columns):
+        if degenerate[j]:
+            columns[j] = [0.0] * k
+        elif mode == STANDARDIZED:
+            # k times each deviation, in whole units of the column's finest binary fraction.
+            ratios = [value.as_integer_ratio() for value in column]
+            unit = max(denominator for _, denominator in ratios)
+            counts = [numerator * (unit // denominator) for numerator, denominator in ratios]
+            total = sum(counts)
+            deviations = [k * count - total for count in counts]
+            largest = max(map(abs, deviations))
+            scaled = [deviation / largest for deviation in deviations]  # rounds once
+            std = math.sqrt(math.fsum(value * value for value in scaled) / (k - 1))
+            columns[j] = [value / std for value in scaled]
+    add = math.fsum if mode == STANDARDIZED else sum  # a raw sum may pass the float range
+    r = [[add(map(operator.mul, a, b)) / (k - 1) for b in columns] for a in columns]
     indicators = [sum(abs(value) for value in row) for row in r]
     corr = CorrelationMatrix(
         t=t, k=k, r=np.array(r), mode=mode, degenerate=np.array(degenerate, dtype=bool)

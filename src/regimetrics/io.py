@@ -371,17 +371,30 @@ def _event_header_problem(header) -> str | None:
     return None
 
 
+def _field_problem(name: str, value: str) -> str | None:
+    """Why a table reader would not read the field ``value`` back as written, or None.
+
+    Readers strip every field, and take a lone carriage return for a line
+    end, which ``csv`` before Python 3.13 writes unquoted.
+    """
+    if value != value.strip():
+        return f"{name} {value!r} would read back as {value.strip()!r}"
+    if "\r" in value:
+        return f"{name} {value!r} holds a carriage return, which reads as a line end"
+    return None
+
+
 def write_events(model: EnterpriseModel, path) -> Path:
     """Write an event-series file that parse_events reads back with the model's labels.
 
     Its header must pass parse_events' rule with each field stripped, as
-    the reader strips them, and then no label may change when stripped.
+    the reader strips them, and then each label must read back as itself
+    (``_field_problem``).
     """
     header = (EVENT_PERIOD_COLUMN, *model.channel_labels)
     problem = _event_header_problem(tuple(field.strip() for field in header))
-    spaced = [label for label in model.channel_labels if label != label.strip()]
-    if not problem and spaced:
-        problem = f"channel label {spaced[0]!r} would read back as {spaced[0].strip()!r}"
+    for label in model.channel_labels:
+        problem = problem or _field_problem("channel label", label)
     if problem:
         raise ValidationError(f"{path}: {problem}")
     periods = np.arange(1, model.t_max + 1)
@@ -533,12 +546,38 @@ def _keep_cells(owner: np.ndarray, width: int, keep: slice) -> np.ndarray:
 # --- competency mapping ----------------------------------------------------
 
 
+def _competency_id_problem(cid: str) -> str | None:
+    """Why parse_mapping would not read competency id ``cid`` back from write_mapping, or None.
+
+    Its cost directive is one line, read up to its first ``=``, and a data
+    row that starts with ``#`` is a misplaced directive.
+    """
+    if not cid:
+        return "competency id is empty"
+    if "\n" in cid:
+        return f"competency id {cid!r} holds a line end"
+    if "=" in cid:
+        return f"competency id {cid!r} holds '=', which ends the id in its cost directive"
+    if cid.startswith("#"):
+        return f"competency id {cid!r} starts with '#', which starts a directive"
+    return _field_problem("competency id", cid)
+
+
 def write_mapping(mapping: CompetencyMapping, channel_labels, path) -> Path:
+    """Write a mapping file that parse_mapping reads back with the mapping's ids.
+
+    An id it could not read back (``_competency_id_problem``) is refused,
+    naming the path, before any file is made.
+    """
     channel_labels = tuple(channel_labels)
     if len(channel_labels) != mapping.n:
         raise ValidationError(
             f"mapping covers {mapping.n} channels but {len(channel_labels)} labels given"
         )
+    for cid in mapping.competency_ids:
+        problem = _competency_id_problem(cid)
+        if problem:
+            raise ValidationError(f"{path}: {problem}")
     directives = [("budget", fmt(mapping.budget))]
     for cid, cost in zip(mapping.competency_ids, mapping.costs):
         directives.append(("cost", f"{cid} = {fmt(cost)}"))

@@ -167,6 +167,17 @@ def test_write_events_refuses_a_label_the_reader_would_rename(tmp_path, label):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_events_refuses_a_label_holding_a_carriage_return(tmp_path):
+    # csv before Python 3.13 writes a lone CR unquoted, and the reader ends the line there.
+    path = tmp_path / "events.csv"
+    model = EnterpriseModel(events=np.ones((2, 2)), channel_labels=("x", "a\rb"))
+    with pytest.raises(ValidationError) as excinfo:
+        write_events(model, path)
+    problem = "channel label 'a\\rb' holds a carriage return, which reads as a line end"
+    assert str(excinfo.value) == f"{path}: {problem}"
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- mapping ----------------------------------------------------------------
 
 
@@ -195,6 +206,41 @@ def test_write_mapping_needs_one_label_per_channel(tmp_path):
         write_mapping(sample_mapping(), ("a", "b"), tmp_path / "mapping.csv")
     assert str(excinfo.value) == "mapping covers 3 channels but 2 labels given"
     assert not (tmp_path / "mapping.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cid, problem",
+    [
+        ("a=b", "competency id 'a=b' holds '=', which ends the id in its cost directive"),
+        ("a\nb", "competency id 'a\\nb' holds a line end"),
+        ("a\rb", "competency id 'a\\rb' holds a carriage return, which reads as a line end"),
+        ("#", "competency id '#' starts with '#', which starts a directive"),
+        ("", "competency id is empty"),
+        (" s", "competency id ' s' would read back as 's'"),
+    ],
+    ids=["equals", "newline", "carriage-return", "hash", "empty", "spaced"],
+)
+def test_write_mapping_refuses_an_id_the_reader_would_not_read_back(tmp_path, cid, problem):
+    path = tmp_path / "mapping.csv"
+    mapping = CompetencyMapping(
+        flags=np.array([[1, 0], [0, 1]]), competency_ids=("1.1", cid), costs=np.ones(2), budget=5.0
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        write_mapping(mapping, ("a", "b"), path)
+    assert str(excinfo.value) == f"{path}: {problem}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mapping_ids_with_csv_and_directive_characters_read_back(tmp_path):
+    ids = ("a,b", 'q"x', "a:b", "x#", "é 1", "a\x00b")
+    mapping = CompetencyMapping(
+        flags=np.eye(len(ids), dtype=int), competency_ids=ids, costs=np.arange(6.0), budget=-0.0
+    )
+    labels = tuple(f"c{j}" for j in range(len(ids)))
+    parsed = parse_mapping(write_mapping(mapping, labels, tmp_path / "mapping.csv"), labels)
+    assert parsed.competency_ids == ids
+    assert np.array_equal(parsed.flags, mapping.flags)
+    assert parsed.costs.tobytes() == mapping.costs.tobytes()
 
 
 def test_mapping_absent_pairs_default_to_zero(tmp_path):
@@ -255,12 +301,14 @@ def test_mapping_duplicate_pair_rejected(tmp_path):
          "duplicate budget directive"),
         (lambda path: parse_mapping(path, ("a",)), ["# budget: 1", "# cost: = 5"], 2,
          "cost directive has empty id"),
+        (lambda path: parse_mapping(path, ("a",)), ["# budget: 1", "# cost: 1.1 5"], 2,
+         re.escape("cost directive must be '# cost: <id> = <number>'")),
         (lambda path: parse_mapping(path, ("a",)), ["# budget: 1", "# cost: 1.1 = 5",
                                                     "# cost: 1.1 = 6"], 3,
          "duplicate cost for '1.1'"),
     ],
     ids=["totals twice", "bad totals, then totals", "bad totals", "bad budget, then budget",
-         "empty cost id", "cost id twice"],
+         "empty cost id", "cost without =", "cost id twice"],
 )
 def test_directive_errors_name_their_line(tmp_path, read, lines, line, message):
     header = "t,v_basic,v_ddescr,dv" if "totals" in lines[0] else "competency_id,channel_label,flag"

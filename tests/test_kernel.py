@@ -4,6 +4,9 @@ The shapes here are large enough that the kernel walks several chunks of
 periods, so chunk boundaries are exercised by the real budget.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,54 @@ def test_constant_column_is_degenerate_in_kernel_and_oracle(constant):
         assert oracle[1] == 0.0
 
 
+# Bases whose window means round: a spread of a few ulps is as large as that rounding.
+NEAR_CONSTANT_BASES = (0.1, 1.0 / 3.0, 123.456, 1e8 + 0.3, 7e-5)
+
+
+def exact_standardized_indicators(window):
+    """Standardized indicators of one (k, n) window in exact fractions, up to each square root."""
+    k, n = window.shape
+    deviations = []
+    for j in range(n):
+        column = [Fraction(float(value)) for value in window[:, j]]
+        mean = sum(column) / k
+        deviations.append([value - mean for value in column])
+    squares = [sum(d * d for d in column) for column in deviations]
+    indicators = np.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            if squares[i] and squares[j]:
+                cross = sum(a * b for a, b in zip(deviations[i], deviations[j]))
+                indicators[i] += math.sqrt(cross * cross / (squares[i] * squares[j]))
+    return indicators
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_near_constant_windows_match_the_exact_answer(seed):
+    """300 windows of k = 12: one Gaussian channel and two 0-3 ulps above a base."""
+    rng = np.random.RandomState(seed)
+    k, windows = 12, []
+    for _ in range(300):
+        columns = [rng.standard_normal(k)]
+        for _ in range(2):
+            column = np.full(k, NEAR_CONSTANT_BASES[rng.randint(len(NEAR_CONSTANT_BASES))])
+            steps = rng.randint(0, 4, k)
+            for step in (1, 2, 3):
+                column = np.where(steps >= step, np.nextafter(column, np.inf), column)
+            columns.append(column)
+        windows.append(np.column_stack(columns))
+    # Window b is rows b * k .. b * k + k - 1, the window of period b * k + k + 1.
+    series = series_of(np.vstack(windows + [np.zeros((1, 3))]))
+    result = indicator_series(series, k, STANDARDIZED)
+    for b, window in enumerate(windows):
+        exact = exact_standardized_indicators(window)
+        scale = max(1.0, float(exact.max()))
+        _, oracle = naive_oracle(series, b * k + k + 1, k, STANDARDIZED)
+        for name, got in (("kernel", result.values[b * k]), ("oracle", oracle)):
+            error = float(np.abs(got - exact).max())
+            assert error <= 1e-9 * scale, f"window {b}: {name} off by {error:.3e}"
+
+
 def test_standardized_is_scale_free_at_extreme_magnitudes():
     rng = np.random.RandomState(200)
     values = rng.rand(60, 4)
@@ -127,40 +178,36 @@ def test_raw_overflow_names_period_and_channels():
 
 
 @st.composite
-def exact_series(draw):
-    """Series whose window sums are exact, so any summation order agrees.
+def generated_series(draw):
+    """Series of arbitrary floats up to 1e100 in magnitude, whose window sums may round.
 
-    Each column is a multiple of 2**-6 below 2**20 in magnitude, scaled
-    by its own power of two; it is random, near-constant (a spread of one
-    or two units on a large base), constant at an arbitrary float, or
-    masked to zero.
+    Each column is random, near-constant (one or two ulps above a base),
+    constant, or masked to zero.
     """
     n = draw(st.integers(1, 5))
     k = draw(st.integers(2, 6))
     t_max = draw(st.integers(k + 1, k + 12))
-    units = st.integers(-(2**26), 2**26)
+    cells = st.floats(-1e100, 1e100, allow_nan=False)
     columns = []
     for _ in range(n):
         kind = draw(st.sampled_from(["random", "near_constant", "constant", "masked"]))
         if kind == "random":
-            column = np.array(draw(st.lists(units, min_size=t_max, max_size=t_max)), dtype=float)
+            column = np.array(draw(st.lists(cells, min_size=t_max, max_size=t_max)))
         elif kind == "near_constant":
-            base = draw(units)
-            steps = draw(st.lists(st.integers(0, 2), min_size=t_max, max_size=t_max))
-            column = np.array([base + s for s in steps], dtype=float)
+            column = np.full(t_max, draw(cells))
+            steps = np.array(draw(st.lists(st.integers(0, 2), min_size=t_max, max_size=t_max)))
+            for step in (1, 2):
+                column = np.where(steps >= step, np.nextafter(column, np.inf), column)
         elif kind == "constant":
-            value = draw(st.floats(-1e100, 1e100, allow_nan=False))
-            column = np.full(t_max, value)
+            column = np.full(t_max, draw(cells))
         else:
             column = np.zeros(t_max)
-        if kind != "constant":
-            column = np.ldexp(column, draw(st.integers(-200, 200)) - 6)
         columns.append(column)
     return series_of(np.column_stack(columns)), k
 
 
 @PROPERTY
-@given(exact_series(), st.sampled_from(MODES))
+@given(generated_series(), st.sampled_from(MODES))
 def test_kernel_matches_oracle_on_generated_series(instance, mode):
     series, k = instance
     result = indicator_series(series, k, mode)

@@ -1,11 +1,13 @@
 """Standardized windows keep their bits: the kernel against per-window arithmetic.
 
-The kernel takes window extremes from doubling spans over the series and
-window sums as one add per row, oldest first. ``reference_indicators``
-below is the per-window form those replace: numpy's max, min, mean and
-sum along the window axis of a (periods, k, n) stack. For two or more
-channels that axis reduction adds the rows in the same order, so both
-must give the same bytes.
+The kernel takes each window's largest magnitude from doubling spans over
+the series and window sums as one add per row, oldest first, and finds a
+degenerate window by its centred squares summing to zero.
+``reference_indicators`` below is the per-window form those replace:
+numpy's max, min, mean and sum along the window axis of a (periods, k, n)
+stack, with a degenerate window found by its max equal to its min. For
+two or more channels that axis reduction adds the rows in the same order,
+so both must give the same bytes.
 """
 
 from unittest import mock
@@ -27,7 +29,8 @@ def reference_standardize(block, k):
     degenerate = hi == lo
     _, exponent = np.frexp(np.maximum(hi, -lo))
     scaled = np.ldexp(block, -exponent[:, None, :])
-    scaled -= np.where(degenerate, scaled[:, 0], scaled.mean(axis=1))[:, None, :]
+    for _ in range(2):
+        scaled -= scaled.mean(axis=1)[:, None, :]
     variance = np.square(scaled).sum(axis=1) / (k - 1)
     scaled /= np.sqrt(np.where(degenerate, 1.0, variance))[:, None, :]
     return scaled
@@ -89,12 +92,45 @@ def test_standardized_rows_are_the_per_window_bits(case):
     assert result.values.tobytes() == reference_indicators(values, k).tobytes()
 
 
-def test_doubling_extremes_are_the_window_max_and_min():
+def test_doubling_max_is_the_window_max_of_magnitudes():
     rng = np.random.RandomState(40)
-    # Few distinct values, so ties and repeated extremes are common.
-    rows = rng.randint(-3, 4, size=(90, 3)) * np.array([1.0, 1e-310, 1e300])
+    # Few distinct values, so ties and repeated maxima are common.
+    rows = np.abs(rng.randint(-3, 4, size=(90, 3)) * np.array([1.0, 1e-310, 1e300]))
     for k in range(2, 41):
-        hi, lo = engine._window_extremes(rows, k)
         windows = sliding_window_view(rows, k, axis=0)
-        assert np.array_equal(hi, windows.max(axis=2)), k
-        assert np.array_equal(lo, windows.min(axis=2)), k
+        assert np.array_equal(engine._window_max(rows, k), windows.max(axis=2)), k
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hostile_rows(draw):
+    """Rows of 1..4 channels, each any finite doubles, constant, or 0-2 ulps off a base."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 19))
+    t_max = draw(st.integers(k, k + 12))
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["any", "constant", "steps"]))
+        if kind == "any":
+            columns.append(draw(st.lists(FINITE, min_size=t_max, max_size=t_max)))
+            continue
+        column = np.full(t_max, draw(st.one_of(st.sampled_from(EXTREMES), FINITE)))
+        if kind == "steps":  # towards zero, so no step leaves the float range
+            steps = np.array(draw(st.lists(st.integers(0, 2), min_size=t_max, max_size=t_max)))
+            for step in (1, 2):
+                column = np.where(steps >= step, np.nextafter(column, 0.0), column)
+        columns.append(column)
+    return np.column_stack(columns), k
+
+
+@PROPERTY
+@given(hostile_rows())
+def test_a_window_is_degenerate_exactly_when_it_is_constant(case):
+    rows, k = case
+    z, degenerate = engine._standardize(rows, k)
+    windows = sliding_window_view(rows, k, axis=0)
+    assert np.array_equal(degenerate, windows.max(axis=2) == windows.min(axis=2))
+    assert np.all(z.transpose(0, 2, 1)[degenerate] == 0.0)
+    assert np.all(np.isfinite(z))
